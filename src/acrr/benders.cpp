@@ -382,6 +382,7 @@ AdmissionResult solve_benders_single_tree(const AcrrInstance& inst,
   res.cuts_evicted = mr.cuts_evicted;
   res.separation_rounds = mr.separation_rounds;
   res.master_pivots = mr.lp_iterations;
+  res.master_refactorizations = mr.lp_refactorizations;
   res.pseudocost_branchings = mr.pseudocost_branchings;
   res.strong_probes = mr.strong_probes;
   res.heuristic_incumbents = mr.heuristic_incumbents;
@@ -425,6 +426,7 @@ AdmissionResult solve_benders(const AcrrInstance& inst,
   if (purging) msession.push();
   long cuts_appended = 0;
   long master_pivots = 0;
+  long master_refactorizations = 0;
   long cuts_purged = 0;
   long slave_rounds = 0;
   // Branching/heuristic counters summed over the per-iteration master
@@ -491,6 +493,7 @@ AdmissionResult solve_benders(const AcrrInstance& inst,
     if (!opts.warm_start) msession.clear_basis();
     const MilpResult mr = solve_milp(msession, mopts);
     master_pivots += mr.lp_iterations;
+    master_refactorizations += mr.lp_refactorizations;
     pc_branchings += mr.pseudocost_branchings;
     strong_probes += mr.strong_probes;
     heur_incumbents += mr.heuristic_incumbents;
@@ -698,6 +701,7 @@ AdmissionResult solve_benders(const AcrrInstance& inst,
   res.cuts_evicted = cuts_purged;
   res.separation_rounds = slave_rounds;
   res.master_pivots = master_pivots;
+  res.master_refactorizations = master_refactorizations;
   res.pseudocost_branchings = pc_branchings;
   res.strong_probes = strong_probes;
   res.heuristic_incumbents = heur_incumbents;
@@ -785,6 +789,7 @@ AdmissionResult solve_no_overbooking(const AcrrInstance& inst,
   res.solve_ms = std::chrono::duration<double>(
                      std::chrono::steady_clock::now() - t0).count() * 1e3;
   res.master_pivots = mr.lp_iterations;
+  res.master_refactorizations = mr.lp_refactorizations;
   res.pseudocost_branchings = mr.pseudocost_branchings;
   res.strong_probes = mr.strong_probes;
   res.heuristic_incumbents = mr.heuristic_incumbents;

@@ -140,6 +140,7 @@ struct AdmissionResult {
   long cuts_evicted = 0;     ///< cuts aged/purged out of the active set
   long separation_rounds = 0;///< slave separation invocations
   long master_pivots = 0;    ///< master simplex iterations, all solves summed
+  long master_refactorizations = 0;  ///< from-scratch master factorizations
   // -- Master branching/heuristic counters (zero unless the MILP master
   //    ran with BranchRule::Pseudocost / primal heuristics enabled).
   long pseudocost_branchings = 0;  ///< reliable pseudocost branch decisions

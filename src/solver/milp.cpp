@@ -72,6 +72,24 @@ double elapsed_sec(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
+/// LP work spent by one solve or a batch of them: accepted simplex pivots
+/// and from-scratch basis factorizations (MilpResult::lp_iterations /
+/// lp_refactorizations at compose time).
+struct LpWork {
+  long iterations = 0;
+  long refactorizations = 0;
+
+  void add(const LpResult& r) {
+    iterations += r.iterations;
+    refactorizations += r.refactorizations;
+  }
+  LpWork& operator+=(const LpWork& o) {
+    iterations += o.iterations;
+    refactorizations += o.refactorizations;
+    return *this;
+  }
+};
+
 /// State shared by every branch-and-bound lane. Heap-allocated and owned
 /// via shared_ptr by each lane task: a task dequeued after the search
 /// finished still finds live (if closed) state, observes `done` and exits,
@@ -117,7 +135,7 @@ struct BnbShared {
   double incumbent = kInf;
   std::vector<double> best_x;
   long nodes = 0;
-  long lp_iterations = 0;
+  LpWork lp_work;
   // Lazy-cut observability (MilpResult mirrors these at compose time).
   long cuts_separated = 0;
   long cuts_from_pool = 0;
@@ -204,7 +222,7 @@ void install_incumbent(BnbShared& sh, double obj, const std::vector<double>& x,
 struct ProbeOutcome {
   double down = -1.0;  ///< child-bound delta; < 0 when the probe proved nothing
   double up = -1.0;
-  long iters = 0;      ///< LP pivots spent (caller folds into lp_iterations)
+  LpWork work;         ///< LP work spent (caller folds into lp_work)
 };
 
 /// One strong-branching probe: the child LP bound delta after pushing
@@ -214,7 +232,7 @@ struct ProbeOutcome {
 /// whether it runs inline or on a fanned-out pool lane.
 double probe_delta(const LpModel& node_model, const SimplexOptions& lp_opts,
                    const Basis* warm, int var, bool up, double v,
-                   double parent_obj, long& iters) {
+                   double parent_obj, LpWork& work) {
   LpModel copy = node_model;
   const auto& vb = node_model.variable(var);
   if (up) {
@@ -224,7 +242,7 @@ double probe_delta(const LpModel& node_model, const SimplexOptions& lp_opts,
   }
   LpResult r = solve_lp(copy, lp_opts, warm);
   if (r.status == LpStatus::InvalidBasis) r = solve_lp(copy, lp_opts);
-  iters += r.iterations;
+  work.add(r);
   if (r.status == LpStatus::Optimal) {
     return std::max(r.objective - parent_obj, 0.0);
   }
@@ -247,9 +265,9 @@ double probe_delta(const LpModel& node_model, const SimplexOptions& lp_opts,
 /// probe pairs fanned over idle pool lanes, observations applied in
 /// candidate order so the pseudocost state is independent of probe
 /// completion order — then maximizes the product score. Returns -1 when
-/// the point is integral; `probe_iters` accumulates probe LP pivots.
+/// the point is integral; `probe_work` accumulates the probe LPs' work.
 int choose_branch(BnbShared& sh, const LpModel& node_model, const LpResult& lp,
-                  const SharedBasis& warm, long& probe_iters) {
+                  const SharedBasis& warm, LpWork& probe_work) {
   const MilpOptions& opts = sh.opts;
   if (opts.branching != BranchRule::Pseudocost) {
     return pick_branch_var(*sh.base, sh.int_vars, opts.int_tol, lp.x);
@@ -283,9 +301,9 @@ int choose_branch(BnbShared& sh, const LpModel& node_model, const LpResult& lp,
       const BranchCandidate& c = cands[to_probe[k]];
       ProbeOutcome& o = out[k];
       o.down = probe_delta(node_model, probe_lp, warm_ptr, c.var,
-                           /*up=*/false, c.value, lp.objective, o.iters);
+                           /*up=*/false, c.value, lp.objective, o.work);
       o.up = probe_delta(node_model, probe_lp, warm_ptr, c.var,
-                         /*up=*/true, c.value, lp.objective, o.iters);
+                         /*up=*/true, c.value, lp.objective, o.work);
     };
     exec::ThreadPool& pool =
         opts.pool != nullptr ? *opts.pool : exec::ThreadPool::global();
@@ -298,7 +316,7 @@ int choose_branch(BnbShared& sh, const LpModel& node_model, const LpResult& lp,
       const BranchCandidate& c = cands[to_probe[k]];
       if (out[k].down >= 0.0) sh.pc.observe_down(c.var, out[k].down, c.frac);
       if (out[k].up >= 0.0) sh.pc.observe_up(c.var, out[k].up, 1.0 - c.frac);
-      probe_iters += out[k].iters;
+      probe_work += out[k].work;
     }
   }
 
@@ -396,13 +414,15 @@ bool run_heuristic_dive(BnbShared& sh, LpSession& sess, double cutoff) {
     return sh.done;
   };
   const long it0 = sess.stats().iterations;
+  const long rf0 = sess.stats().refactorizations;
   const SubDiveResult sub = fix_and_dive(sess, sh.int_vars, dopts,
                                          sh.cuts != nullptr ? &gate : nullptr);
   bool installed = false;
   {
     std::lock_guard<std::mutex> lk(sh.mu);
     sh.nodes += sub.lp_solves;  // heuristic LPs consume node budget
-    sh.lp_iterations += sess.stats().iterations - it0;
+    sh.lp_work.iterations += sess.stats().iterations - it0;
+    sh.lp_work.refactorizations += sess.stats().refactorizations - rf0;
     sh.separation_rounds += gate_rounds;
     sh.cuts_separated += gate_fresh;
     sh.cuts_from_pool += gate_pool;
@@ -589,10 +609,10 @@ bool evaluate_node(BnbShared& sh, Node& node,
   }
   const LpModel& node_model =
       opts.copy_node_models ? *copy_model : sess->model();
-  long probe_iters = 0;
+  LpWork extra_lp_work;  // probes and superseded separation re-solves
   int frac = -1;
   if (lp_ptr->status == LpStatus::Optimal) {
-    frac = choose_branch(sh, node_model, *lp_ptr, child_basis, probe_iters);
+    frac = choose_branch(sh, node_model, *lp_ptr, child_basis, extra_lp_work);
     if (frac < 0 && !opts.copy_node_models &&
         std::getenv("OVNES_MILP_DEBUG") != nullptr &&
         sess->model().max_violation(lp_ptr->x) > 1e-5) {
@@ -608,18 +628,17 @@ bool evaluate_node(BnbShared& sh, Node& node,
   // dual-simplex path.
   bool sep_dropped = false;
   long sep_rounds = 0, sep_new = 0, sep_pool = 0, sep_resolves = 0;
-  long extra_lp_iters = 0;
   if (sh.cuts != nullptr && !opts.copy_node_models &&
       lp_ptr->status == LpStatus::Optimal) {
     const auto resolve = [&] {
-      extra_lp_iters += lp_ptr->iterations;  // bank the superseded solve
+      extra_lp_work.add(*lp_ptr);  // bank the superseded solve
       ++sep_resolves;
       lp_ptr = &sess->solve();
       frac = -1;
       if (lp_ptr->status == LpStatus::Optimal) {
         child_basis = sess->basis();
         frac = choose_branch(sh, sess->model(), *lp_ptr, child_basis,
-                             probe_iters);
+                             extra_lp_work);
       }
     };
     // Fractional root rounds (SCIP's benderslp idea): tighten the root
@@ -679,7 +698,8 @@ bool evaluate_node(BnbShared& sh, Node& node,
   bool keep_going;
   {
     std::unique_lock<std::mutex> lk(sh.mu);
-    sh.lp_iterations += lp.iterations + extra_lp_iters + probe_iters;
+    sh.lp_work.add(lp);
+    sh.lp_work += extra_lp_work;
     sh.nodes += sep_resolves;  // separation re-solves consume node budget
     sh.cuts_separated += sep_new;
     sh.cuts_from_pool += sep_pool;
@@ -881,7 +901,7 @@ class BranchAndBound {
       // + a zero-pivot pricing pass) — accepted so branching/incumbent
       // logic stays in one place, the lanes.
       const LpResult& root = session_->solve();
-      sh->lp_iterations += root.iterations;
+      sh->lp_work.add(root);
       res.root_used_dual = root.used_dual_simplex;
       if (root.status == LpStatus::Optimal) {
         sh->root_solved = true;
@@ -890,12 +910,14 @@ class BranchAndBound {
         sh->root_warm = session_->basis();
       } else if (root.status == LpStatus::Infeasible) {
         res.status = MilpStatus::Infeasible;
-        res.lp_iterations = static_cast<int>(sh->lp_iterations);
+        res.lp_iterations = static_cast<int>(sh->lp_work.iterations);
+        res.lp_refactorizations = sh->lp_work.refactorizations;
         return res;
       } else if (root.status == LpStatus::Unbounded) {
         res.status = MilpStatus::NoSolution;
         res.best_bound = -kInf;
-        res.lp_iterations = static_cast<int>(sh->lp_iterations);
+        res.lp_iterations = static_cast<int>(sh->lp_work.iterations);
+        res.lp_refactorizations = sh->lp_work.refactorizations;
         return res;
       }
       // IterationLimit: fall through — the tree re-derives what it can.
@@ -935,7 +957,8 @@ class BranchAndBound {
 
     // ---- Compose result.
     res.nodes = sh->nodes;
-    res.lp_iterations = static_cast<int>(sh->lp_iterations);
+    res.lp_iterations = static_cast<int>(sh->lp_work.iterations);
+    res.lp_refactorizations = sh->lp_work.refactorizations;
     res.root_basis = sh->root_basis;
     res.peak_open_nodes = sh->peak_open;
     res.cuts_separated = sh->cuts_separated;
@@ -1017,7 +1040,7 @@ class BranchAndBound {
         sess.clear_basis();
         lp = &sess.solve();
       }
-      sh.lp_iterations += lp->iterations;
+      sh.lp_work.add(*lp);
       if (lp->status != LpStatus::Optimal) return;  // dead end
       const int frac = pick_branch_var(base_, int_vars_, opts_.int_tol, lp->x);
       if (frac < 0) {
@@ -1090,7 +1113,7 @@ class BranchAndBound {
       sess.clear_basis();
       root = &sess.solve();
     }
-    sh.lp_iterations += root->iterations;
+    sh.lp_work.add(*root);
     if (root->status != LpStatus::Optimal) return;
     const std::vector<double> root_x = root->x;  // dive solves invalidate *root
     sess.push();

@@ -87,7 +87,8 @@ struct MilpResult {
   double best_bound = -kInf;    ///< global lower bound on the optimum (min)
   std::vector<double> x;
   long nodes = 0;
-  int lp_iterations = 0;
+  int lp_iterations = 0;        ///< accepted simplex pivots, every LP solve
+  long lp_refactorizations = 0; ///< from-scratch basis factorizations, same LPs
   /// Basis of the root LP relaxation (empty if the root never solved to
   /// optimality). Feed it back via MilpOptions::warm_start when re-solving
   /// the same model with appended rows; callers on the

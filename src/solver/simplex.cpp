@@ -152,9 +152,10 @@ class Simplex {
             unfreeze_artificials();
             break;
           case DualOutcome::Abandoned:
-            // The dual loop may have stopped because a refactorization
-            // failed, leaving the kernel unusable; re-factorize from the
-            // (still valid, possibly dual-advanced) basis before the
+            // The dual loop stopped on a failed refactorization (kernel
+            // unusable), on a pivot still tiny after a fresh one, on an
+            // empty ratio test or at the pivot budget. Re-factorize from
+            // the (still valid, possibly dual-advanced) basis before the
             // repair path touches it, and cold-start when even that fails.
             unfreeze_artificials();
             if (factorize_current_basis()) {
@@ -800,7 +801,12 @@ class Simplex {
 
     int degenerate_streak = 0;
     bool bland = false;
-    for (int iter = 0; iter < opts_.max_iterations; ++iter) {
+    // A tiny FTRAN pivot gets ONE refactorize-and-retry; fresh_lu marks the
+    // kernel as refactorized for that retry and clears on the next accepted
+    // pivot. `iter` counts accepted pivots only, so the loop makes at most
+    // one retry pass per pivot: ≤ 2·max_iterations passes in all.
+    bool fresh_lu = false;
+    for (int iter = 0; iter < opts_.max_iterations;) {
       // --- Leaving row. With DSE: the basic whose bound violation is
       // steepest in the dual norm (violation² / β); plain mode: the worst
       // absolute violation.
@@ -822,7 +828,6 @@ class Simplex {
         }
       }
       if (r < 0) return DualOutcome::Restored;  // primal feasible
-      ++iter_count;
 
       const int leaving = basis_[static_cast<size_t>(r)];
       const double target = below ? lower(leaving) : upper(leaving);
@@ -946,13 +951,21 @@ class Simplex {
       kernel_->ftran(w_);
       const double piv = w_[static_cast<size_t>(r)];
       if (std::abs(piv) <= opts_.pivot_tol) {
-        // The rho-based pricing and the FTRAN disagree on the pivot:
-        // factorization drift. Refactorize and retry the row.
-        if (!factorize_current_basis()) return DualOutcome::Abandoned;
+        // The rho-based pricing and the FTRAN disagree on the pivot. On
+        // aged factors that is drift: refactorize and retry the row once.
+        // On fresh factors it is not — the same row would be picked again
+        // forever — so hand the basis to the artificial-repair path.
+        if (fresh_lu || !factorize_current_basis()) {
+          return DualOutcome::Abandoned;
+        }
+        fresh_lu = true;
         refresh_basics();
         reprice();
         continue;
       }
+      fresh_lu = false;
+      ++iter;
+      ++iter_count;
       const double dirq =
           status_[static_cast<size_t>(q)] == VarStatus::AtLower ? 1.0 : -1.0;
       double t = (xb_[static_cast<size_t>(r)] - target) / (piv * dirq);
@@ -1026,7 +1039,7 @@ class Simplex {
         reprice();
       }
 
-      if ((iter + 1) % opts_.refresh_interval == 0) {
+      if (iter % opts_.refresh_interval == 0) {
         // Same periodic drift control as the primal loop; the DSE path
         // also re-certifies its incrementally maintained duals here.
         std::vector<double> saved = xb_;

@@ -84,6 +84,8 @@ void ShardStats::accumulate(const ShardStats& o) {
   cuts_from_pool += o.cuts_from_pool;
   cuts_evicted += o.cuts_evicted;
   separation_rounds += o.separation_rounds;
+  resolve_master_pivots += o.resolve_master_pivots;
+  resolve_refactorizations += o.resolve_refactorizations;
   pseudocost_branchings += o.pseudocost_branchings;
   strong_probes += o.strong_probes;
   heuristic_incumbents += o.heuristic_incumbents;
@@ -570,6 +572,8 @@ void Shard::benders_resolve() {
   stats_.cuts_from_pool += res.cuts_from_pool;
   stats_.cuts_evicted += res.cuts_evicted;
   stats_.separation_rounds += res.separation_rounds;
+  stats_.resolve_master_pivots += res.master_pivots;
+  stats_.resolve_refactorizations += res.master_refactorizations;
   stats_.pseudocost_branchings += res.pseudocost_branchings;
   stats_.strong_probes += res.strong_probes;
   stats_.heuristic_incumbents += res.heuristic_incumbents;

@@ -141,6 +141,11 @@ struct ShardStats {
   long cuts_from_pool = 0;  ///< re-solve candidates priced by a pooled cut
   long cuts_evicted = 0;
   long separation_rounds = 0;
+  /// Re-solve master LP work (summed over re-solves): accepted simplex
+  /// pivots and from-scratch basis factorizations. Exact, thread-count
+  /// independent counts — a refactorize-retry spin shows up here.
+  long resolve_master_pivots = 0;
+  long resolve_refactorizations = 0;
   // Re-solve master branching/heuristic counters (summed over re-solves;
   // zero unless ShardConfig::resolve_branching/resolve_rens enable them).
   long pseudocost_branchings = 0;

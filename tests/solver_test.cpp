@@ -489,6 +489,54 @@ TEST(SimplexWarm, BadlyScaledBasisSurvivesRelativePivotCheck) {
   EXPECT_FALSE(dense_warm.used_warm_start);
 }
 
+TEST(SimplexWarm, PersistentTinyDualPivotAbandonsToRepair) {
+  // Three rows that are dependent up to ε = 1e-9: r0 − 3·cut = −3ε·y. After
+  // the cut is appended to the optimal basis {x, y}, the dual ratio test
+  // on the cut's row enters r1's slack, whose pivot-row entry is
+  // −ε/(1 + 2ε) ≈ −pivot_tol: above the tolerance through the BTRAN'd row,
+  // at or below it through the FTRAN'd column, even on fresh factors. The
+  // dual loop gets one refactorize-and-retry, then abandons to the
+  // artificial-repair path; it must not refactorize on every pass until
+  // max_iterations runs out.
+  constexpr double eps = 1e-9;
+  LpModel m;
+  const int x = m.add_variable("x", 0.0, 2.0, -4.0);
+  const int y = m.add_variable("y", 0.0, 2.0, -4.0);
+  m.add_row("r0", RowSense::LessEq, 6.0, {{x, 3.0 + 3.0 * eps}, {y, 3.0}});
+  m.add_row("r1", RowSense::LessEq, 4.0,
+            {{x, 1.0 + eps}, {y, 2.0 + 2.0 * eps}});
+  Basis basis;  // optimal before the cut: x, y basic, both rows binding
+  basis.num_vars = 2;
+  basis.num_rows = 2;
+  basis.status = {Basis::Status::Basic, Basis::Status::Basic,
+                  Basis::Status::AtLower, Basis::Status::AtLower};
+  m.add_row("cut", RowSense::LessEq, 1.0, {{x, 1.0 + eps}, {y, 1.0 + eps}});
+  const LpResult cold = solve_lp(m);
+  ASSERT_EQ(cold.status, LpStatus::Optimal);
+  // The artificial-repair path alone, from the same basis.
+  const LpResult repair = solve_lp(m, {}, &basis);
+  ASSERT_EQ(repair.status, LpStatus::Optimal);
+
+  for (const bool dse : {true, false}) {
+    SCOPED_TRACE(dse ? "steepest-edge dual loop" : "plain dual loop");
+    SimplexOptions opts;
+    opts.allow_dual = true;
+    opts.dual_steepest_edge = dse;
+    const LpResult warm = solve_lp(m, opts, &basis);
+    ASSERT_EQ(warm.status, LpStatus::Optimal);
+    EXPECT_TRUE(warm.used_warm_start);
+    EXPECT_FALSE(warm.used_dual_simplex);  // finished by the repair path
+    EXPECT_NEAR(warm.objective, cold.objective, 1e-8);
+    EXPECT_LT(m.max_violation(warm.x), 1e-7);
+    // Warm adoption + the one retry + the refactorization handing the
+    // basis to Phase 1. The dual loop accepted no pivot, and its two
+    // passes over the hopeless row are not iterations: the solve counts
+    // exactly the repair path's pivots.
+    EXPECT_LE(warm.refactorizations, 3);
+    EXPECT_EQ(warm.iterations, repair.iterations);
+  }
+}
+
 TEST(Simplex, IterationLimitResultCarriesNoSolution) {
   // A limit-hit LP must be detectable and carry no primal/dual vectors a
   // caller could mistake for an optimum.

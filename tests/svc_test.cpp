@@ -1,14 +1,17 @@
 // Tests for the online admission-control service (src/svc): deterministic
 // replay across thread counts, tenant state transitions, arena/slab reuse on
-// the hot path, overload shedding, cross-epoch cut-pool carry and
-// fixed-duration expiry.
+// the hot path, overload shedding, cross-epoch cut-pool carry,
+// fixed-duration expiry and the solver work of a catalog-day epoch
+// re-solve.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "exec/thread_pool.hpp"
+#include "scn/service_day.hpp"
 #include "svc/service.hpp"
 #include "topo/generators.hpp"
 
@@ -318,6 +321,103 @@ TEST(SvcCutPool, PopulationChangeResetsThePool) {
   const ShardStats& s = svc.shard(0).stats();
   EXPECT_EQ(s.full_resolves, 2u);
   EXPECT_EQ(s.pool_resets, 1u);
+}
+
+// ------------------------------------------------ epoch re-solve work
+
+/// Same decision, every field but the measured latency.
+bool same_decision(const Decision& a, const Decision& b) {
+  return a.seq == b.seq && a.tenant_id == b.tenant_id && a.event == b.event &&
+         a.shard == b.shard && a.kind == b.kind && a.z_total == b.z_total &&
+         a.value == b.value;
+}
+
+TEST(SvcResolveWork, FlashDayRefactorizationsBoundedByPivots) {
+  // The svc/service_day_flash catalog day, replayed through standalone
+  // shards built the way the service builds them. Shard 3's re-solve at
+  // epoch 5 once hit a dual-simplex pivot that stayed tiny after a fresh
+  // factorization; the dual loop then refactorized on every pass until its
+  // iteration budget ran out (~150k factorizations, over a second). A
+  // tiny pivot now gets one retry per accepted pivot and then abandons to
+  // the artificial-repair path, and retries no longer count as pivots.
+  //
+  // Bound per re-solve: factorizations ≤ pivots / 4 + 16. Healthy
+  // re-solves of this day refactorize once per 8–40 pivots (eta-file
+  // limits, node re-verification); a spin refactorizes once per counted
+  // pass and fails it.
+  constexpr long kPivotsPerRefactor = 4;
+  constexpr long kSlack = 16;
+  scn::ServiceDayConfig day;
+  day.tenants = 4000;
+  day.hours = 24;
+  day.seed = 2018;
+  day.flash.spikes = 2;
+  const std::vector<Event> script = scn::make_service_day(day);
+  const topo::Topology topo = topo::make_mini(12, 192.0, 384.0);
+  constexpr std::size_t kShards = 8;
+
+  ServiceConfig cfg;
+  cfg.num_shards = kShards;
+  cfg.queue_capacity = script.size() + 1;
+  cfg.shard.full_resolve_every = 6;
+  cfg.shard.drift_threshold = 0.25;
+  cfg.shard.max_resolve_tenants = 40;
+  cfg.shard.resolve_max_nodes = 2000;
+
+  ShardConfig sc = cfg.shard;
+  sc.capacity_fraction = 1.0 / static_cast<double>(kShards);
+  std::vector<std::unique_ptr<Shard>> shards;
+  for (std::size_t s = 0; s < kShards; ++s) {
+    shards.push_back(
+        std::make_unique<Shard>(topo, sc, static_cast<std::uint32_t>(s)));
+  }
+  std::vector<Decision> log, expiries;
+  std::size_t epoch = 0;
+  bool saw_shard3_epoch5 = false;
+  for (std::size_t i = 0; i < script.size(); ++i) {
+    const std::uint64_t seq = i + 1;  // EventQueue stamps from 1
+    const Event& e = script[i];
+    if (e.type != EventType::EpochTick) {
+      Decision d = shards[AdmissionService::shard_of(e.tenant_id, kShards)]
+                       ->handle(e);
+      d.seq = seq;
+      log.push_back(d);
+      continue;
+    }
+    for (std::size_t s = 0; s < kShards; ++s) {
+      const ShardStats before = shards[s]->stats();
+      expiries.clear();
+      shards[s]->end_epoch(epoch, expiries);
+      for (Decision d : expiries) {
+        d.seq = seq;
+        log.push_back(d);
+      }
+      const ShardStats& after = shards[s]->stats();
+      if (after.full_resolves == before.full_resolves) continue;
+      const long pivots =
+          after.resolve_master_pivots - before.resolve_master_pivots;
+      const long refactorizations =
+          after.resolve_refactorizations - before.resolve_refactorizations;
+      EXPECT_LE(refactorizations, pivots / kPivotsPerRefactor + kSlack)
+          << "shard " << s << " epoch " << epoch << ": " << pivots
+          << " pivots";
+      if (epoch == 5 && s == 3) {
+        saw_shard3_epoch5 = true;
+        EXPECT_GT(pivots, 0);
+      }
+    }
+    ++epoch;
+  }
+  EXPECT_TRUE(saw_shard3_epoch5);
+
+  // The standalone replay makes the service's decisions.
+  exec::ThreadPool pool(2);
+  AdmissionService service(topo, cfg, &pool);
+  for (const Event& e : script) ASSERT_TRUE(service.submit(e));
+  service.drain();
+  ASSERT_EQ(log.size(), service.decisions().size());
+  EXPECT_TRUE(std::equal(log.begin(), log.end(), service.decisions().begin(),
+                         same_decision));
 }
 
 }  // namespace
