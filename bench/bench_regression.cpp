@@ -1,4 +1,4 @@
-// bench_regression — the pinned regression catalog behind BENCH_11.json.
+// bench_regression — the pinned regression catalog behind BENCH_13.json.
 //
 // Runs a fixed set of named cases spanning the stack — solver microbenches
 // (kept-LU cut re-solves, single-vs-multi-tree Benders convergence),
@@ -23,7 +23,7 @@
 //
 // `--smoke` runs only the smoke-tier cases — with configs identical to the
 // same-named cases in full mode, so CI can diff its subset against the
-// committed full-mode BENCH_11.json. `--out FILE` writes the report to FILE
+// committed full-mode BENCH_13.json. `--out FILE` writes the report to FILE
 // (stdout otherwise). scripts/check_bench_regression.py does the diffing.
 #include <chrono>
 #include <cstdio>

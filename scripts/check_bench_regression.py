@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Diff a bench_regression report against the committed BENCH_11.json baseline.
+"""Diff a bench_regression report against the committed BENCH_13.json baseline.
 
 Two modes:
 
@@ -8,7 +8,7 @@ Two modes:
       the fingerprint (canonical config digest) and every `correctness`
       field must be EXACTLY equal — any drift means either a real
       regression or an intentional change that requires regenerating the
-      baseline (run `bench_regression --out BENCH_11.json` and commit it).
+      baseline (run `bench_regression --out BENCH_13.json` and commit it).
       `timing` duration fields (*_ms / *_sec) must stay within a factor of
       --band of the baseline; fields whose baseline is below the noise
       floor (5 ms / 0.005 s) are skipped, and rate / latency-percentile
@@ -83,7 +83,7 @@ def diff_case(name, base, cur, band, failures, rows):
         failures.append(
             f"{name}: config fingerprint changed "
             f"({base['fingerprint']} -> {cur['fingerprint']}); "
-            f"regenerate BENCH_11.json")
+            f"regenerate BENCH_13.json")
         return
     bc, cc = base["correctness"], cur["correctness"]
     for field in sorted(set(bc) | set(cc)):
@@ -215,7 +215,7 @@ def run_diff(base_path, cur_path, band, pivot_slack):
     if base["catalog_fingerprint"] != cur["catalog_fingerprint"]:
         failures.append(
             "catalog fingerprint changed — the case catalog or a case config "
-            "was edited; regenerate BENCH_11.json with `bench_regression --out` "
+            "was edited; regenerate BENCH_13.json with `bench_regression --out` "
             "and commit it")
 
     smoke = cur["mode"] == "smoke"
@@ -226,7 +226,7 @@ def run_diff(base_path, cur_path, band, pivot_slack):
         failures.append(f"cases missing from current run: {missing}")
     extra = sorted(set(cc) - set(cb))
     if extra:
-        failures.append(f"cases not in baseline (regenerate BENCH_11.json): "
+        failures.append(f"cases not in baseline (regenerate BENCH_13.json): "
                         f"{extra}")
 
     for name in sorted(expected & set(cc)):
@@ -243,7 +243,7 @@ def main():
     ap = argparse.ArgumentParser(
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("baseline", help="baseline report (BENCH_11.json), or "
+    ap.add_argument("baseline", help="baseline report (BENCH_13.json), or "
                                      "report A with --exact")
     ap.add_argument("current", help="current report, or report B with --exact")
     ap.add_argument("--exact", action="store_true",

@@ -137,7 +137,7 @@ struct AdmissionResult {
   long cuts_from_pool = 0;   ///< cuts priced from the pool: candidates
                              ///< rejected by a pooled row (no slave solve)
                              ///< + rows carried in from an earlier solve
-  long cuts_evicted = 0;     ///< cuts aged/purged out of the active set
+  long cuts_evicted = 0;     ///< cuts aged out of the cut pool
   long separation_rounds = 0;///< slave separation invocations
   long master_pivots = 0;    ///< master simplex iterations, all solves summed
   long master_refactorizations = 0;  ///< from-scratch master factorizations

@@ -148,7 +148,7 @@ class LpSession {
                            ///< on entry (bound deltas verbatim, cuts bordered)
     long iterations = 0;   ///< total pivots across all solves
     long refactorizations = 0;  ///< from-scratch factorizations, all solves
-    // Sparsity counters (LpResult mirrors, zeros under the dense kernel).
+    // Sparsity counters (LpResult mirrors).
     long kernel_solves = 0;     ///< FTRAN + BTRAN calls, all solves
     long hypersparse_hits = 0;  ///< kernel solves that skipped > half the sweep
     long reorderings = 0;       ///< fill-blowup re-orderings, all solves

@@ -478,15 +478,6 @@ TEST(SimplexWarm, BadlyScaledBasisSurvivesRelativePivotCheck) {
   EXPECT_NEAR(warm.objective, -16.003, 1e-6);
   EXPECT_NEAR(warm.x[0], 2.0, 1e-6);
   EXPECT_NEAR(warm.x[1], 6.0, 1e-6);
-
-  // The dense reference kernel keeps the historical absolute test and falls
-  // back to a cold start — documenting the behaviour the relative
-  // threshold fixes.
-  SimplexOptions dense;
-  dense.dense_basis_inverse = true;
-  const LpResult dense_warm = solve_lp(m, dense, &basis);
-  ASSERT_EQ(dense_warm.status, LpStatus::Optimal);
-  EXPECT_FALSE(dense_warm.used_warm_start);
 }
 
 TEST(SimplexWarm, PersistentTinyDualPivotAbandonsToRepair) {
@@ -517,24 +508,20 @@ TEST(SimplexWarm, PersistentTinyDualPivotAbandonsToRepair) {
   const LpResult repair = solve_lp(m, {}, &basis);
   ASSERT_EQ(repair.status, LpStatus::Optimal);
 
-  for (const bool dse : {true, false}) {
-    SCOPED_TRACE(dse ? "steepest-edge dual loop" : "plain dual loop");
-    SimplexOptions opts;
-    opts.allow_dual = true;
-    opts.dual_steepest_edge = dse;
-    const LpResult warm = solve_lp(m, opts, &basis);
-    ASSERT_EQ(warm.status, LpStatus::Optimal);
-    EXPECT_TRUE(warm.used_warm_start);
-    EXPECT_FALSE(warm.used_dual_simplex);  // finished by the repair path
-    EXPECT_NEAR(warm.objective, cold.objective, 1e-8);
-    EXPECT_LT(m.max_violation(warm.x), 1e-7);
-    // Warm adoption + the one retry + the refactorization handing the
-    // basis to Phase 1. The dual loop accepted no pivot, and its two
-    // passes over the hopeless row are not iterations: the solve counts
-    // exactly the repair path's pivots.
-    EXPECT_LE(warm.refactorizations, 3);
-    EXPECT_EQ(warm.iterations, repair.iterations);
-  }
+  SimplexOptions opts;
+  opts.allow_dual = true;
+  const LpResult warm = solve_lp(m, opts, &basis);
+  ASSERT_EQ(warm.status, LpStatus::Optimal);
+  EXPECT_TRUE(warm.used_warm_start);
+  EXPECT_FALSE(warm.used_dual_simplex);  // finished by the repair path
+  EXPECT_NEAR(warm.objective, cold.objective, 1e-8);
+  EXPECT_LT(m.max_violation(warm.x), 1e-7);
+  // Warm adoption + the one retry + the refactorization handing the
+  // basis to Phase 1. The dual loop accepted no pivot, and its two
+  // passes over the hopeless row are not iterations: the solve counts
+  // exactly the repair path's pivots.
+  EXPECT_LE(warm.refactorizations, 3);
+  EXPECT_EQ(warm.iterations, repair.iterations);
 }
 
 TEST(Simplex, IterationLimitResultCarriesNoSolution) {

@@ -1,18 +1,17 @@
-// Sparse-vs-dense kernel equivalence battery (ISSUE 6).
+// Sparse-vs-dense kernel equivalence battery.
 //
-// The sparse Markowitz LU (BasisLu) replaced the dense row-major LU as the
-// production kernel in PR 6; the explicit dense inverse
-// (DenseInverseKernel) remains the reference. This battery certifies the
-// sparse kernel on the slack-heavy Benders-master bases it was built for,
-// at m ∈ {50, 200, 500, 2000}:
+// Certifies the sparse Markowitz LU (BasisLu) on the slack-heavy
+// Benders-master bases it was built for, at m ∈ {50, 200, 500, 2000},
+// against the dense partial-pivoting oracle in dense_lu_oracle.hpp:
 //
-//  * FTRAN/BTRAN agree with the dense reference within 1e-6 where the
-//    O(m³) reference is tractable (m ≤ 500), and with a residual oracle
+//  * FTRAN/BTRAN agree with the dense oracle within 1e-6 where the
+//    O(m³) oracle is tractable (m ≤ 500), and with a residual oracle
 //    (‖B·x − v‖ ≤ 1e-6·scale, checkable in O(nnz)) everywhere;
 //  * bordered appends + interleaved eta pivots agree with a from-scratch
 //    refactorization of the grown basis (warm re-solve shape);
-//  * full solve_lp objectives agree LU-vs-dense, cold and warm re-solved
-//    after a sparse cut;
+//  * every solve_lp optimum is certified by its basis — x_B and duals
+//    re-derived by the oracle, reduced costs dual-feasible — cold and warm
+//    re-solved after a sparse cut;
 //  * the hypersparse short-circuit and the fill-blowup re-ordering
 //    (KernelStats) actually fire.
 //
@@ -26,6 +25,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "dense_lu_oracle.hpp"
 #include "solver/basis_lu.hpp"
 #include "solver/lp_model.hpp"
 #include "solver/simplex.hpp"
@@ -158,8 +158,10 @@ TEST_P(SparseKernelBattery, FtranBtranMatchReferenceAndResidual) {
   ASSERT_TRUE(lu.factorize(b));
 
   const bool dense_tractable = m <= 500;
-  DenseInverseKernel dense(m);
-  if (dense_tractable) ASSERT_TRUE(dense.factorize(b));
+  oracle::DenseLuOracle dense;
+  if (dense_tractable) {
+    ASSERT_TRUE(dense.factorize(b));
+  }
 
   for (int rep = 0; rep < 4; ++rep) {
     const std::vector<double> v = random_vector(m, rng);
@@ -167,17 +169,13 @@ TEST_P(SparseKernelBattery, FtranBtranMatchReferenceAndResidual) {
     lu.ftran(x);
     EXPECT_LT(ftran_residual(b, x, v), 1e-6) << "rep " << rep;
     if (dense_tractable) {
-      std::vector<double> y = v;
-      dense.ftran(y);
-      EXPECT_LT(max_diff(x, y), 1e-6) << "rep " << rep;
+      EXPECT_LT(max_diff(x, dense.solve(v)), 1e-6) << "rep " << rep;
     }
     x = v;
     lu.btran(x);
     EXPECT_LT(btran_residual(b, x, v), 1e-6) << "rep " << rep;
     if (dense_tractable) {
-      std::vector<double> y = v;
-      dense.btran(y);
-      EXPECT_LT(max_diff(x, y), 1e-6) << "rep " << rep;
+      EXPECT_LT(max_diff(x, dense.solve_transpose(v)), 1e-6) << "rep " << rep;
     }
   }
   // Slack-heavy basis: the factors must stay essentially fill-free.
@@ -287,24 +285,29 @@ struct SolveCase {
 
 class SparseSolveBattery : public ::testing::TestWithParam<SolveCase> {};
 
-TEST_P(SparseSolveBattery, ObjectivesAgreeWithDenseColdAndWarm) {
+/// Optimality certificate from the basis alone (see dense_lu_oracle.hpp).
+void expect_certified(const LpModel& model, const LpResult& r) {
+  ASSERT_EQ(r.status, LpStatus::Optimal);
+  ASSERT_FALSE(r.basis.empty());
+  const oracle::CertificateErrors e = oracle::basis_certificate(model, r);
+  ASSERT_TRUE(e.factorized);
+  EXPECT_LT(e.primal, 1e-6);
+  EXPECT_LT(e.dual, 1e-6);
+  EXPECT_LT(e.dual_infeasible, 1e-6);
+  EXPECT_LT(model.max_violation(r.x), 1e-6);
+}
+
+TEST_P(SparseSolveBattery, BasisCertifiesOptimumColdAndWarm) {
   const auto [m, seed] = GetParam();
   LpModel model = sparse_master_lp(m, m, seed);
-  SimplexOptions lu_opts;
-  SimplexOptions dense_opts;
-  dense_opts.dense_basis_inverse = true;
-
-  const LpResult lu = solve_lp(model, lu_opts);
-  const LpResult dense = solve_lp(model, dense_opts);
-  ASSERT_EQ(lu.status, LpStatus::Optimal);
-  ASSERT_EQ(dense.status, LpStatus::Optimal);
-  const double scale = std::max(1.0, std::abs(dense.objective));
-  EXPECT_LT(std::abs(lu.objective - dense.objective) / scale, 1e-6);
-  EXPECT_LT(model.max_violation(lu.x), 1e-6);
+  const LpResult lu = solve_lp(model);
+  {
+    SCOPED_TRACE("cold");
+    expect_certified(model, lu);
+  }
   // The sparse path must actually report sparse work.
   EXPECT_GT(lu.kernel_solves, 0);
   EXPECT_GT(lu.factor_nnz, 0);
-  EXPECT_EQ(dense.factor_nnz, 0);  // dense reference has no fill concept
 
   // Warm re-solve after a sparse cut violated at the optimum.
   RngStream rng(seed ^ 0x5ca1ab1eull);
@@ -320,13 +323,12 @@ TEST_P(SparseSolveBattery, ObjectivesAgreeWithDenseColdAndWarm) {
   ASSERT_FALSE(coefs.empty());
   model.add_row("cut", RowSense::LessEq, 0.8 * lhs, std::move(coefs));
 
-  const LpResult lu_warm = solve_lp(model, lu_opts, &lu.basis);
-  const LpResult dense_warm = solve_lp(model, dense_opts, &dense.basis);
-  ASSERT_EQ(lu_warm.status, LpStatus::Optimal);
-  ASSERT_EQ(dense_warm.status, LpStatus::Optimal);
-  const double wscale = std::max(1.0, std::abs(dense_warm.objective));
-  EXPECT_LT(std::abs(lu_warm.objective - dense_warm.objective) / wscale, 1e-6);
-  EXPECT_LT(model.max_violation(lu_warm.x), 1e-6);
+  const LpResult lu_warm = solve_lp(model, {}, &lu.basis);
+  {
+    SCOPED_TRACE("warm");
+    expect_certified(model, lu_warm);
+  }
+  EXPECT_TRUE(lu_warm.used_warm_start);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, SparseSolveBattery,
@@ -334,9 +336,8 @@ INSTANTIATE_TEST_SUITE_P(Sizes, SparseSolveBattery,
                                            SolveCase{200, 8},
                                            SolveCase{500, 9}));
 
-// At m = 2000 the dense reference is intractable; certify the warm
-// re-solve against the sparse path's own cold re-solve of the grown model
-// (same oracle the m ≤ 500 cases get, minus the dense cross-check).
+// At m = 2000 the dense oracle is intractable; certify the warm re-solve
+// against the sparse path's own cold re-solve of the grown model.
 TEST(SparseSolveLarge, WarmResolveMatchesColdAt2000) {
   const int m = 2000;
   LpModel model = sparse_master_lp(m, m, 101);
