@@ -265,8 +265,9 @@ AdmissionResult solve_benders_single_tree(const AcrrInstance& inst,
     return cost;
   };
 
-  CutPool owned_pool;
-  CutPool* pool = opts.cut_pool != nullptr ? opts.cut_pool : &owned_pool;
+  // Lives for this one solve: the lanes sync their models from it and
+  // the Magnanti–Wong cuts below are added to it directly.
+  CutPool pool;
 
   // Callback state: mutated only under the solver's separation lock (the
   // LazyCutCallback serialization contract), read again after solve_milp
@@ -306,7 +307,7 @@ AdmissionResult solve_benders_single_tree(const AcrrInstance& inst,
   // One tree gets the whole Benders budget (the classic loop splits it
   // into per-iteration master solves).
   mopts.time_limit_sec = opts.time_limit_sec;
-  mopts.cut_pool = pool;
+  mopts.cut_pool = &pool;
   // Root fractional separation is intrinsic to the mode (SCIP's benderslp):
   // master.max_lp_cut_rounds still tunes how many rounds.
   mopts.benders_lp_cuts = true;
@@ -353,7 +354,7 @@ AdmissionResult solve_benders_single_tree(const AcrrInstance& inst,
     if (opts.magnanti_wong && ctx.integral && core_seen && core != active) {
       const SlaveResult cr = core_slave.solve(core, deficit, opts.warm_start);
       if (cr.feasible || !cr.cut.coefs.empty() || cr.cut.constant > 0.0) {
-        if (pool->add(to_row(cr.cut, "mwcut" + std::to_string(slave_calls)))) {
+        if (pool.add(to_row(cr.cut, "mwcut" + std::to_string(slave_calls)))) {
           ++mw_cuts;
         }
       }
@@ -377,16 +378,10 @@ AdmissionResult solve_benders_single_tree(const AcrrInstance& inst,
   res.solve_ms = elapsed() * 1e3;
   res.optimal = ub < kInf && ub - lb <= opts.epsilon * (1.0 + std::abs(ub));
   res.deficit = best_deficit;
-  res.cuts_separated = mr.cuts_separated + mw_cuts;
-  res.cuts_from_pool = mr.cuts_from_pool;
-  res.cuts_evicted = mr.cuts_evicted;
-  res.separation_rounds = mr.separation_rounds;
+  static_cast<SearchStats&>(res) = mr;
+  res.cuts_separated += mw_cuts;
   res.master_pivots = mr.lp_iterations;
   res.master_refactorizations = mr.lp_refactorizations;
-  res.pseudocost_branchings = mr.pseudocost_branchings;
-  res.strong_probes = mr.strong_probes;
-  res.heuristic_incumbents = mr.heuristic_incumbents;
-  res.first_incumbent_nodes = mr.first_incumbent_nodes;
   return res;
 }
 
@@ -413,12 +408,7 @@ AdmissionResult solve_benders(const AcrrInstance& inst,
   long master_pivots = 0;
   long master_refactorizations = 0;
   long slave_rounds = 0;
-  // Branching/heuristic counters summed over the per-iteration master
-  // solves; first_incumbent_nodes takes the min (best anytime profile).
-  long pc_branchings = 0;
-  long strong_probes = 0;
-  long heur_incumbents = 0;
-  long first_incumbent = -1;
+  SearchStats search;  ///< merged over the per-iteration master solves
   const auto append_cut = [&](std::string name, RowSense sense, double rhs,
                               std::vector<Coef> coefs) {
     msession.add_cut(std::move(name), sense, rhs, std::move(coefs));
@@ -470,13 +460,7 @@ AdmissionResult solve_benders(const AcrrInstance& inst,
     const MilpResult mr = solve_milp(msession, mopts);
     master_pivots += mr.lp_iterations;
     master_refactorizations += mr.lp_refactorizations;
-    pc_branchings += mr.pseudocost_branchings;
-    strong_probes += mr.strong_probes;
-    heur_incumbents += mr.heuristic_incumbents;
-    if (mr.first_incumbent_nodes >= 0 &&
-        (first_incumbent < 0 || mr.first_incumbent_nodes < first_incumbent)) {
-      first_incumbent = mr.first_incumbent_nodes;
-    }
+    search.merge(mr);
     if (mr.status == MilpStatus::Infeasible) {
       // Structurally infeasible master (e.g. conflicting pinned slices
       // without the §3.4 relaxation): report an empty admission.
@@ -626,14 +610,13 @@ AdmissionResult solve_benders(const AcrrInstance& inst,
   res.solve_ms = elapsed() * 1e3;
   res.optimal = ub < kInf && ub - lb <= opts.epsilon * (1.0 + std::abs(ub));
   res.deficit = best_deficit;
+  static_cast<SearchStats&>(res) = search;
+  // The masters separate nothing themselves: the loop's cuts and rounds
+  // are the slave-side ones.
   res.cuts_separated = cuts_appended;
   res.separation_rounds = slave_rounds;
   res.master_pivots = master_pivots;
   res.master_refactorizations = master_refactorizations;
-  res.pseudocost_branchings = pc_branchings;
-  res.strong_probes = strong_probes;
-  res.heuristic_incumbents = heur_incumbents;
-  res.first_incumbent_nodes = first_incumbent;
   return res;
 }
 
@@ -716,12 +699,9 @@ AdmissionResult solve_no_overbooking(const AcrrInstance& inst,
   res.optimal = mr.status == MilpStatus::Optimal;
   res.solve_ms = std::chrono::duration<double>(
                      std::chrono::steady_clock::now() - t0).count() * 1e3;
+  static_cast<SearchStats&>(res) = mr;
   res.master_pivots = mr.lp_iterations;
   res.master_refactorizations = mr.lp_refactorizations;
-  res.pseudocost_branchings = mr.pseudocost_branchings;
-  res.strong_probes = mr.strong_probes;
-  res.heuristic_incumbents = mr.heuristic_incumbents;
-  res.first_incumbent_nodes = mr.first_incumbent_nodes;
   return res;
 }
 

@@ -20,10 +20,6 @@ namespace ovnes::exec {
 class ThreadPool;
 }  // namespace ovnes::exec
 
-namespace ovnes::solver {
-class CutPool;  // solver/cut_pool.hpp
-}  // namespace ovnes::solver
-
 namespace ovnes::acrr {
 
 struct BendersOptions {
@@ -71,9 +67,6 @@ struct BendersOptions {
   /// candidate leaves idle — the classic "pareto-optimal cut" effect
   /// without a fractional core point (the slave takes binary activations).
   bool magnanti_wong = true;
-  /// Cut pool for single-tree mode, shared with the caller (not owned;
-  /// e.g. across re-solves of a cut-round session). Null: private pool.
-  solver::CutPool* cut_pool = nullptr;
 };
 
 /// Solve Problem 2 to (near-)optimality via Algorithm 1.

@@ -111,12 +111,9 @@ AdmissionResult solve_exact_milp(const AcrrInstance& inst,
   res.bound = mr.best_bound;
   res.optimal = mr.status == MilpStatus::Optimal;
   res.solve_ms = ms;
+  static_cast<SearchStats&>(res) = mr;
   res.master_pivots = mr.lp_iterations;
   res.master_refactorizations = mr.lp_refactorizations;
-  res.pseudocost_branchings = mr.pseudocost_branchings;
-  res.strong_probes = mr.strong_probes;
-  res.heuristic_incumbents = mr.heuristic_incumbents;
-  res.first_incumbent_nodes = mr.first_incumbent_nodes;
   return res;
 }
 

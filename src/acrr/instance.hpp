@@ -22,6 +22,7 @@
 #include "common/ids.hpp"
 #include "common/units.hpp"
 #include "slice/slice.hpp"
+#include "solver/search_stats.hpp"
 #include "topo/topology.hpp"
 
 namespace ovnes::acrr {
@@ -109,20 +110,11 @@ struct Placement {
   std::vector<Mbps> reservation; ///< z per BS, aligned with path_vars
 };
 
-/// Fingerprint of everything that determines Benders-cut validity and the
-/// master's *column* layout for `inst`: the decision-variable list (tenant
-/// block structure, per-var λ̂/Λ/w coefficients, path identity), per-tenant
-/// feasible-CU sets, topology capacities, and the slave-shaping config
-/// (big-M relaxation on/off). Two instances with equal fingerprints may
-/// safely share a solver::CutPool: every pooled cut row references master
-/// columns that exist with the same meaning, and the slave value function
-/// the cuts under-approximate is identical. Pinning (TenantModel::pinned_cu)
-/// is deliberately EXCLUDED — cuts are valid at any activation vector, and
-/// pins only restrict the master's feasible set — so a pool survives the
-/// arrival→pinned transition of the orchestrator's retry loop.
-[[nodiscard]] std::uint64_t instance_fingerprint(const AcrrInstance& inst);
-
-struct AdmissionResult {
+/// Outcome of one AC-RR solve. The solver::SearchStats counters are the
+/// master MILP's, merged over the multi-tree loop's master solves (whose
+/// cuts_separated/separation_rounds count slave-side cuts and rounds
+/// instead); KAC leaves them at their defaults.
+struct AdmissionResult : solver::SearchStats {
   /// Per tenant: placement if accepted.
   std::vector<std::optional<Placement>> admitted;
   double objective = 0.0;       ///< Ψ value achieved (lower = better)
@@ -132,24 +124,8 @@ struct AdmissionResult {
   bool optimal = false;
   /// §3.4 deficit (big-M) usage, nonzero only under forced admission.
   double deficit = 0.0;
-  // -- Benders cut-machinery counters (zero for non-Benders solvers).
-  long cuts_separated = 0;   ///< cuts admitted to the pool / master
-  long cuts_from_pool = 0;   ///< cuts priced from the pool: candidates
-                             ///< rejected by a pooled row (no slave solve)
-                             ///< + rows carried in from an earlier solve
-  long cuts_evicted = 0;     ///< cuts aged out of the cut pool
-  long separation_rounds = 0;///< slave separation invocations
   long master_pivots = 0;    ///< master simplex iterations, all solves summed
   long master_refactorizations = 0;  ///< from-scratch master factorizations
-  // -- Master branching/heuristic counters (zero unless the MILP master
-  //    ran with BranchRule::Pseudocost / primal heuristics enabled).
-  long pseudocost_branchings = 0;  ///< reliable pseudocost branch decisions
-  long strong_probes = 0;          ///< strong-branching probe LPs solved
-  long heuristic_incumbents = 0;   ///< incumbents from dive/RENS/LNS
-  /// Master tree nodes at the first incumbent (min across MILP solves for
-  /// the multi-tree loop); -1 when no solve found one. The anytime
-  /// time-to-first-feasible metric the heuristics target.
-  long first_incumbent_nodes = -1;
 
   [[nodiscard]] std::size_t num_accepted() const;
   /// Σ rewards of accepted tenants (per epoch).

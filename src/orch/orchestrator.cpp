@@ -92,26 +92,7 @@ forecast::Forecast Simulation::admission_forecast(
 acrr::AdmissionResult Simulation::dispatch_solver(
     const acrr::AcrrInstance& inst, bool) {
   switch (cfg_.algorithm) {
-    case Algorithm::Benders: {
-      acrr::BendersOptions opts = cfg_.benders;
-      // Cross-epoch cut sharing (single-tree only: the classic loop keeps
-      // its cuts as master rows, not pool entries). The pool survives from
-      // epoch to epoch as long as the instance fingerprint — column layout,
-      // objective coefficients, capacities — is unchanged; any drift clears
-      // it, so pooled rows can never cut a valid point of a new instance.
-      if (cfg_.share_cut_pool && opts.single_tree && opts.cut_pool == nullptr) {
-        const std::uint64_t fp = acrr::instance_fingerprint(inst);
-        if (epoch_pool_ == nullptr) {
-          epoch_pool_ = std::make_unique<solver::CutPool>();
-        }
-        if (fp != epoch_pool_fingerprint_) {
-          epoch_pool_->clear();
-          epoch_pool_fingerprint_ = fp;
-        }
-        opts.cut_pool = epoch_pool_.get();
-      }
-      return acrr::solve_benders(inst, opts);
-    }
+    case Algorithm::Benders: return acrr::solve_benders(inst, cfg_.benders);
     case Algorithm::Kac: return acrr::solve_kac(inst, cfg_.kac);
     case Algorithm::NoOverbooking:
       return acrr::solve_no_overbooking(inst, cfg_.milp);
@@ -170,14 +151,7 @@ EpochReport Simulation::run_epoch() {
     const acrr::AdmissionResult result = dispatch_solver(inst, !active_.empty());
     report.solve_ms = result.solve_ms;
     report.deficit = result.deficit;
-    report.cuts_separated = result.cuts_separated;
-    report.cuts_from_pool = result.cuts_from_pool;
-    report.cuts_evicted = result.cuts_evicted;
-    report.separation_rounds = result.separation_rounds;
-    report.pseudocost_branchings = result.pseudocost_branchings;
-    report.strong_probes = result.strong_probes;
-    report.heuristic_incumbents = result.heuristic_incumbents;
-    report.first_incumbent_nodes = result.first_incumbent_nodes;
+    static_cast<solver::SearchStats&>(report) = result;
 
     // Update pinned actives with fresh reservations.
     for (std::size_t i = 0; i < active_.size(); ++i) {

@@ -101,10 +101,7 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg) {
   for (std::size_t e = 0; e < cfg.max_epochs; ++e) {
     const EpochReport rep = sim.run_epoch();
     revenue.add(rep.net_revenue);
-    out.cuts_separated += rep.cuts_separated;
-    out.cuts_from_pool += rep.cuts_from_pool;
-    out.cuts_evicted += rep.cuts_evicted;
-    out.separation_rounds += rep.separation_rounds;
+    out.merge(rep);
     out.violation_minutes += rep.violation_minutes;
     out.mean_overbooked_mbps += rep.overbooked_mbps;
     out.mean_radio_headroom_mbps += rep.radio_headroom_mbps;

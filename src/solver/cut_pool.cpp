@@ -184,23 +184,11 @@ void CutPool::advance_round() {
   }
 }
 
-void CutPool::clear() {
-  std::lock_guard<std::mutex> lk(mu_);
-  entries_.clear();
-  index_.clear();
-  ++stats_.clears;
-}
-
 std::size_t CutPool::size() const {
   std::lock_guard<std::mutex> lk(mu_);
   std::size_t n = 0;
   for (const Entry& e : entries_) n += e.active ? 1 : 0;
   return n;
-}
-
-std::size_t CutPool::log_size() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return entries_.size();
 }
 
 CutPool::Stats CutPool::stats() const {

@@ -57,7 +57,6 @@ class CutPool {
     long evicted = 0;     ///< rows aged out of the active set
     long lookups = 0;     ///< violated_at calls
     long hits = 0;        ///< rows returned by violated_at (re-activations)
-    long clears = 0;      ///< clear() calls (cross-epoch fingerprint resets)
   };
 
   CutPool() = default;
@@ -87,15 +86,7 @@ class CutPool {
   /// the active set fits Options::capacity again.
   void advance_round();
 
-  /// Drop every row — log included. For long-lived pools shared *across*
-  /// solves (the orchestrator's cross-epoch pool): when the owning
-  /// instance's fingerprint changes the pooled rows reference a dead
-  /// column layout and must not survive. Callers must only clear between
-  /// solves (no lane holds a fetch_new version across a clear).
-  void clear();
-
-  [[nodiscard]] std::size_t size() const;         ///< active rows
-  [[nodiscard]] std::size_t log_size() const;     ///< all rows ever admitted
+  [[nodiscard]] std::size_t size() const;  ///< active rows
   [[nodiscard]] Stats stats() const;
 
  private:

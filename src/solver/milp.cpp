@@ -116,11 +116,7 @@ struct BnbShared {
   /// pc_mu — separate from `mu` so strong-branching probe bookkeeping
   /// never stalls the incumbent/pool publishing of other lanes.
   std::mutex pc_mu;
-  Pseudocosts pc;                  ///< guarded by pc_mu
-  long pseudocost_branchings = 0;  ///< guarded by pc_mu
-  /// Probe LPs reserved AND run (reserved in pairs under pc_mu before the
-  /// fan-out, so the budget is never oversubscribed across lanes).
-  long strong_probes = 0;
+  Pseudocosts pc;  ///< guarded by pc_mu
 
   std::mutex mu;
   std::condition_variable cv;
@@ -134,13 +130,13 @@ struct BnbShared {
   std::vector<double> best_x;
   long nodes = 0;
   LpWork lp_work;
-  // Lazy-cut observability (MilpResult mirrors these at compose time).
-  long cuts_separated = 0;
-  long cuts_from_pool = 0;
-  long separation_rounds = 0;
-  // Primal-heuristic observability + LNS scheduling (guarded by mu).
-  long heuristic_incumbents = 0;
-  long first_incumbent_nodes = -1;
+  /// The result's counters, except cuts_evicted (read from the pool at
+  /// compose time). pseudocost_branchings and strong_probes are guarded
+  /// by pc_mu instead — strong_probes counts probe LPs reserved AND run,
+  /// reserved in pairs before the fan-out so the budget is never
+  /// oversubscribed across lanes.
+  SearchStats search;
+  // LNS scheduling.
   long lns_next = 0;  ///< node count that triggers the next LNS episode
   long lns_runs = 0;  ///< episodes started (seeds the destroy stream)
   bool hit_limit = false;
@@ -212,8 +208,8 @@ void install_incumbent(BnbShared& sh, double obj, const std::vector<double>& x,
   sh.incumbent = obj;
   sh.best_x = x;
   round_integers(sh.int_vars, sh.best_x);
-  if (first) sh.first_incumbent_nodes = sh.nodes;
-  if (heuristic) ++sh.heuristic_incumbents;
+  if (first) sh.search.first_incumbent_nodes = sh.nodes;
+  if (heuristic) ++sh.search.heuristic_incumbents;
 }
 
 /// \brief Measured bound deltas of one strong-branching probe pair.
@@ -283,8 +279,8 @@ int choose_branch(BnbShared& sh, const LpModel& node_model, const LpResult& lp,
     std::lock_guard<std::mutex> lk(sh.pc_mu);
     for (std::size_t i = 0; i < cands.size(); ++i) {
       if (sh.pc.reliable(cands[i].var, opts.reliability)) continue;
-      if (sh.strong_probes + 2 > opts.max_strong_probes) break;
-      sh.strong_probes += 2;
+      if (sh.search.strong_probes + 2 > opts.max_strong_probes) break;
+      sh.search.strong_probes += 2;
       to_probe.push_back(i);
     }
   }
@@ -329,7 +325,7 @@ int choose_branch(BnbShared& sh, const LpModel& node_model, const LpResult& lp,
   if (!probed && sh.pc.reliable(pick, opts.reliability)) {
     // The chosen variable was ranked purely from accumulated pseudocosts
     // (already reliable, no probe this node): a pseudocost branching.
-    ++sh.pseudocost_branchings;
+    ++sh.search.pseudocost_branchings;
   }
   return pick;
 }
@@ -421,9 +417,9 @@ bool run_heuristic_dive(BnbShared& sh, LpSession& sess, double cutoff) {
     sh.nodes += sub.lp_solves;  // heuristic LPs consume node budget
     sh.lp_work.iterations += sess.stats().iterations - it0;
     sh.lp_work.refactorizations += sess.stats().refactorizations - rf0;
-    sh.separation_rounds += gate_rounds;
-    sh.cuts_separated += gate_fresh;
-    sh.cuts_from_pool += gate_pool;
+    sh.search.separation_rounds += gate_rounds;
+    sh.search.cuts_separated += gate_fresh;
+    sh.search.cuts_from_pool += gate_pool;
     if (sub.abandoned) {
       // Heuristic-found-but-unverified candidate: fold conservatively —
       // the point was discarded, and the solve can no longer claim
@@ -632,9 +628,9 @@ bool evaluate_node(BnbShared& sh, Node& node,
     sh.lp_work.add(lp);
     sh.lp_work += extra_lp_work;
     sh.nodes += sep_resolves;  // separation re-solves consume node budget
-    sh.cuts_separated += sep_new;
-    sh.cuts_from_pool += sep_pool;
-    sh.separation_rounds += sep_rounds;
+    sh.search.cuts_separated += sep_new;
+    sh.search.cuts_from_pool += sep_pool;
+    sh.search.separation_rounds += sep_rounds;
     if (!sh.root_solved && lp.status == LpStatus::Optimal) {
       sh.root_bound = lp.objective;
       sh.root_solved = true;
@@ -886,13 +882,7 @@ class BranchAndBound {
     res.lp_refactorizations = sh->lp_work.refactorizations;
     res.root_basis = sh->root_basis;
     res.peak_open_nodes = sh->peak_open;
-    res.cuts_separated = sh->cuts_separated;
-    res.cuts_from_pool = sh->cuts_from_pool;
-    res.separation_rounds = sh->separation_rounds;
-    res.pseudocost_branchings = sh->pseudocost_branchings;
-    res.strong_probes = sh->strong_probes;
-    res.heuristic_incumbents = sh->heuristic_incumbents;
-    res.first_incumbent_nodes = sh->first_incumbent_nodes;
+    static_cast<SearchStats&>(res) = sh->search;
     if (sh->cuts != nullptr) res.cuts_evicted = sh->cuts->stats().evicted;
     const bool hit_limit = sh->hit_limit || dive_hit_limit;
     if (sh->unbounded) {
@@ -932,19 +922,6 @@ class BranchAndBound {
   void dive(BnbShared& sh, bool& dive_hit_limit) const {
     LpSession sess(base_, opts_.lp);
     sess.set_warm_basis(sh.root_warm);
-    if (sh.cuts != nullptr) {
-      // A caller-shared pool (MilpOptions::cut_pool) may carry cuts from
-      // earlier solves: give the dive the tightened model up front. Rows
-      // inherited this way are the cross-solve reuse channel, so they count
-      // as from-pool cuts (within-solve lane syncs do not — those rows were
-      // separated, and counted, during this solve).
-      std::size_t version = 0;
-      auto pooled = sh.cuts->fetch_new(version);
-      if (opts_.cut_pool != nullptr) {
-        sh.cuts_from_pool += static_cast<long>(pooled.size());
-      }
-      for (Rowdef& r : pooled) sess.add_cut(std::move(r));
-    }
     int sep_rounds = 0;
     // Separation re-solves share the step budget: `continue` advances
     // `step`, and every pass through the loop head counts a node against
@@ -977,10 +954,10 @@ class BranchAndBound {
           // session (no frames here) and in the pool for the lanes.
           if (sep_rounds >= opts_.max_separation_rounds) return;
           SeparationStep s = separate_candidate(sh, *lp, true);
-          sh.separation_rounds += s.called ? 1 : 0;
-          sh.cuts_separated += s.fresh;
-          sh.cuts_from_pool += s.from_pool ? static_cast<long>(s.rows.size())
-                                           : 0;
+          sh.search.separation_rounds += s.called ? 1 : 0;
+          sh.search.cuts_separated += s.fresh;
+          sh.search.cuts_from_pool +=
+              s.from_pool ? static_cast<long>(s.rows.size()) : 0;
           if (s.abandon) {
             // Heuristic-found-but-unverified candidate: discard it AND
             // record the truncation — the separation oracle failed
@@ -1021,8 +998,8 @@ class BranchAndBound {
     LpSession sess(base_, opts_.lp);
     sess.set_warm_basis(sh.root_warm);
     if (sh.cuts != nullptr) {
-      // Same tightened-model start as the dive (rows already counted
-      // there; RENS adds no from-pool accounting of its own).
+      // Start from the rows the dive separated (already counted there;
+      // RENS adds no from-pool accounting of its own).
       std::size_t version = 0;
       auto pooled = sh.cuts->fetch_new(version);
       for (Rowdef& r : pooled) sess.add_cut(std::move(r));

@@ -29,6 +29,7 @@
 #include "solver/branching.hpp"
 #include "solver/lp_model.hpp"
 #include "solver/lp_session.hpp"
+#include "solver/search_stats.hpp"
 #include "solver/simplex.hpp"
 
 namespace ovnes::exec {
@@ -80,8 +81,9 @@ enum class MilpStatus {
 [[nodiscard]] const char* to_string(MilpStatus s);
 
 /// \brief Outcome of a branch-and-bound solve: incumbent, certified
-/// bound/gap, and search statistics.
-struct MilpResult {
+/// bound/gap, and search statistics (the SearchStats counters of this
+/// solve).
+struct MilpResult : SearchStats {
   MilpStatus status = MilpStatus::NoSolution;
   double objective = 0.0;       ///< incumbent objective (valid unless NoSolution)
   double best_bound = -kInf;    ///< global lower bound on the optimum (min)
@@ -103,35 +105,6 @@ struct MilpResult {
   /// bounds the search's memory footprint (see BM_MilpBnbThroughput's
   /// peak_rss counter).
   long peak_open_nodes = 0;
-  // -- Lazy-cut observability (all zero unless MilpOptions::lazy_cuts ran).
-  /// Rows admitted to the cut pool from callback separation this solve.
-  long cuts_separated = 0;
-  /// Pooled rows that priced a candidate without a separation call: rows
-  /// the pool lookup found violated first, plus rows inherited from a
-  /// caller-shared pool (MilpOptions::cut_pool) at solve start — the
-  /// cross-solve reuse channel.
-  long cuts_from_pool = 0;
-  /// Rows aged out of the pool's active set — lifetime count of the pool
-  /// used, which equals this solve's count unless the caller shared a pool
-  /// across solves (MilpOptions::cut_pool).
-  long cuts_evicted = 0;
-  /// Separation callback invocations (integral + fractional rounds).
-  long separation_rounds = 0;
-  // -- Branching observability (zero under BranchRule::MostFractional).
-  /// Branch decisions taken by the pseudocost score with the chosen
-  /// variable already reliable (no strong-branching probes needed).
-  long pseudocost_branchings = 0;
-  /// Strong-branching probe LPs solved to initialize unreliable
-  /// candidates; bounded by MilpOptions::max_strong_probes.
-  long strong_probes = 0;
-  // -- Primal-heuristic observability.
-  /// Incumbents installed by a heuristic (root dive, RENS, LNS) rather
-  /// than by tree search.
-  long heuristic_incumbents = 0;
-  /// Value of `nodes` when the first incumbent (from any source) was
-  /// installed; -1 if the solve never found one. The anytime metric the
-  /// heuristics target: lower is better.
-  long first_incumbent_nodes = -1;
   /// (objective - best_bound) / max(1, |objective|); 0 when proved optimal.
   [[nodiscard]] double gap() const;
 };
@@ -222,8 +195,10 @@ struct MilpOptions {
   /// Guard on integral-candidate separation rounds per node; hitting it
   /// drops the node conservatively (never claims Optimal past it).
   int max_separation_rounds = 64;
-  /// Cut pool shared with the caller (not owned; outlive the solve). Null
-  /// with lazy_cuts set: the solver creates a private pool for the run.
+  /// Cut pool the caller also adds rows to during the solve (not owned;
+  /// must outlive it) — Benders pools its Magnanti–Wong cuts here. The
+  /// pool lives for one solve: pass a fresh one per call. Null with
+  /// lazy_cuts set: the solver creates a private pool for the run.
   CutPool* cut_pool = nullptr;
   SimplexOptions lp;
 };

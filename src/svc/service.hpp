@@ -19,8 +19,8 @@
 //      replay-tested by svc_test, digest-checked by bench_service_day).
 //
 // Epoch ticks fan end_epoch() out across shards (expiries, drift-triggered
-// Benders re-solves against each shard's cross-epoch cut pool) and append
-// the expiry decisions in shard order under the tick's sequence number.
+// Benders re-solves) and append the expiry decisions in shard order under
+// the tick's sequence number.
 #pragma once
 
 #include <cstdint>

@@ -80,20 +80,9 @@ void ShardStats::accumulate(const ShardStats& o) {
   full_resolves += o.full_resolves;
   greedy_repacks += o.greedy_repacks;
   pool_resets += o.pool_resets;
-  cuts_separated += o.cuts_separated;
-  cuts_from_pool += o.cuts_from_pool;
-  cuts_evicted += o.cuts_evicted;
-  separation_rounds += o.separation_rounds;
+  merge(o);
   resolve_master_pivots += o.resolve_master_pivots;
   resolve_refactorizations += o.resolve_refactorizations;
-  pseudocost_branchings += o.pseudocost_branchings;
-  strong_probes += o.strong_probes;
-  heuristic_incumbents += o.heuristic_incumbents;
-  if (o.first_incumbent_nodes >= 0 &&
-      (first_incumbent_nodes < 0 ||
-       o.first_incumbent_nodes < first_incumbent_nodes)) {
-    first_incumbent_nodes = o.first_incumbent_nodes;
-  }
   violation_minutes += o.violation_minutes;
   violation_samples += o.violation_samples;
 }
@@ -513,10 +502,7 @@ void Shard::end_epoch(std::size_t epoch, std::vector<Decision>& out) {
 void Shard::benders_resolve() {
   // Exact joint re-optimization of the shard population: every live tenant
   // pinned to its CU (no mid-slice migration), §3.4 deficit relaxation on
-  // so the pinned set is always feasible. The shard's CutPool carries
-  // Benders cuts across epochs; acrr::instance_fingerprint gates reuse —
-  // any change in population, forecasts or coefficients clears it
-  // (pooled rows would reference a dead column layout).
+  // so the pinned set is always feasible.
   std::vector<std::uint32_t> slots;
   std::vector<acrr::TenantModel> tenants;
   slots.reserve(slab_.size());
@@ -528,8 +514,7 @@ void Shard::benders_resolve() {
     tm.request.tenant = TenantId(static_cast<std::uint32_t>(t.id));
     tm.request.name = "t" + std::to_string(t.id);
     tm.request.tmpl = types_[static_cast<std::size_t>(t.type)].tmpl;
-    // Risk horizon = the ORIGINAL duration: keeping it constant keeps the
-    // fingerprint (and therefore the pool) stable across epochs.
+    // Risk horizon = the ORIGINAL duration, constant across epochs.
     tm.request.duration_epochs = std::max<std::uint32_t>(1, t.duration);
     tm.request.penalty_factor = t.penalty_factor;
     tm.lambda_hat = t.lambda_hat;
@@ -543,16 +528,9 @@ void Shard::benders_resolve() {
   ac.allow_deficit = true;  // pins require the §3.4 relaxation
   ac.headroom_guard = cfg_.headroom_guard;
   const acrr::AcrrInstance inst(topo_, catalog_, std::move(tenants), ac);
-  const std::uint64_t fp = acrr::instance_fingerprint(inst);
-  if (fp != pool_fingerprint_) {
-    if (pool_fingerprint_ != 0) ++stats_.pool_resets;
-    pool_.clear();
-    pool_fingerprint_ = fp;
-  }
 
   acrr::BendersOptions bo;
   bo.single_tree = true;
-  bo.cut_pool = &pool_;
   // Deterministic replay: one B&B lane and a NODE budget, not a wall-clock
   // one (ShardConfig::resolve_max_nodes). A zero time limit means "none".
   bo.master.threads = 1;
@@ -568,20 +546,9 @@ void Shard::benders_resolve() {
   bo.master.branching = cfg_.resolve_branching;
   bo.master.rens_heuristic = cfg_.resolve_rens;
   const acrr::AdmissionResult res = acrr::solve_benders(inst, bo);
-  stats_.cuts_separated += res.cuts_separated;
-  stats_.cuts_from_pool += res.cuts_from_pool;
-  stats_.cuts_evicted += res.cuts_evicted;
-  stats_.separation_rounds += res.separation_rounds;
+  stats_.merge(res);
   stats_.resolve_master_pivots += res.master_pivots;
   stats_.resolve_refactorizations += res.master_refactorizations;
-  stats_.pseudocost_branchings += res.pseudocost_branchings;
-  stats_.strong_probes += res.strong_probes;
-  stats_.heuristic_incumbents += res.heuristic_incumbents;
-  if (res.first_incumbent_nodes >= 0 &&
-      (stats_.first_incumbent_nodes < 0 ||
-       res.first_incumbent_nodes < stats_.first_incumbent_nodes)) {
-    stats_.first_incumbent_nodes = res.first_incumbent_nodes;
-  }
 
   for (std::size_t i = 0; i < slots.size(); ++i) {
     if (!res.admitted[i].has_value()) continue;  // defensive: pins hold

@@ -27,10 +27,9 @@
 // Slow path (end_epoch): demand updates accumulate forecast drift; past
 // ShardConfig::drift_threshold (or every full_resolve_every epochs) the
 // shard re-optimizes ALL its tenants jointly with the single-tree
-// Branch-and-Benders-cut solver, carrying its private solver::CutPool
-// across epochs gated by acrr::instance_fingerprint — an unchanged shard
-// population re-prices from pooled cuts instead of fresh slave solves.
-// Shards too large for an exact re-solve fall back to a deterministic
+// Branch-and-Benders-cut solver; each re-solve is self-contained (its cut
+// pool lives for that one solve), so an unchanged population re-solves
+// identically. Shards too large for an exact re-solve fall back to a deterministic
 // greedy repack in slot order.
 #pragma once
 
@@ -39,8 +38,8 @@
 
 #include "acrr/instance.hpp"
 #include "solver/branching.hpp"
-#include "solver/cut_pool.hpp"
 #include "solver/lp_session.hpp"
+#include "solver/search_stats.hpp"
 #include "svc/arena.hpp"
 #include "svc/events.hpp"
 #include "topo/topology.hpp"
@@ -119,8 +118,11 @@ struct Decision {
   double latency_us = 0.0;  ///< decision wall time (not part of the log)
 };
 
-/// Monotonic per-shard counters (gauges live on Shard accessors).
-struct ShardStats {
+/// Monotonic per-shard counters (gauges live on Shard accessors). The
+/// solver::SearchStats counters are merged over the epoch re-solves
+/// (branching/heuristic ones stay zero unless
+/// ShardConfig::resolve_branching/resolve_rens enable them).
+struct ShardStats : solver::SearchStats {
   std::uint64_t arrivals = 0;
   std::uint64_t admitted = 0;
   std::uint64_t rejected_profit = 0;
@@ -136,24 +138,15 @@ struct ShardStats {
   // Epoch re-optimization machinery.
   std::uint64_t full_resolves = 0;    ///< exact Benders shard re-solves
   std::uint64_t greedy_repacks = 0;   ///< oversize fallback repacks
-  std::uint64_t pool_resets = 0;      ///< fingerprint changes that cleared the pool
-  long cuts_separated = 0;
-  long cuts_from_pool = 0;  ///< re-solve candidates priced by a pooled cut
-  long cuts_evicted = 0;
-  long separation_rounds = 0;
+  /// Always 0 (each re-solve owns its cut pool: nothing to reset). Kept
+  /// only because perfbench/src/service_day.cpp reads it; drop it with
+  /// the next change to the benchmark.
+  std::uint64_t pool_resets = 0;
   /// Re-solve master LP work (summed over re-solves): accepted simplex
   /// pivots and from-scratch basis factorizations. Exact, thread-count
   /// independent counts — a refactorize-retry spin shows up here.
   long resolve_master_pivots = 0;
   long resolve_refactorizations = 0;
-  // Re-solve master branching/heuristic counters (summed over re-solves;
-  // zero unless ShardConfig::resolve_branching/resolve_rens enable them).
-  long pseudocost_branchings = 0;
-  long strong_probes = 0;
-  long heuristic_incumbents = 0;
-  /// Min over re-solves of the master's nodes-at-first-incumbent; -1
-  /// until any re-solve found one (the anytime metric).
-  long first_incumbent_nodes = -1;
   // SLA accounting under overbooking.
   double violation_minutes = 0.0;      ///< Σ tenant-minutes with demand > z
   std::uint64_t violation_samples = 0; ///< DemandUpdates that hit ≥ 1 BS
@@ -161,8 +154,8 @@ struct ShardStats {
   void accumulate(const ShardStats& o);
 };
 
-/// \brief One lock-free-by-ownership shard: tenants, committed resources,
-/// the incremental admission LP, and the cross-epoch Benders cut pool.
+/// \brief One lock-free-by-ownership shard: tenants, committed resources
+/// and the incremental admission LP.
 /// Never copied or moved (TypeInfo holds pointers into the member catalog).
 class Shard {
  public:
@@ -201,7 +194,6 @@ class Shard {
   [[nodiscard]] const solver::LpSession::Stats& session_stats() const {
     return session_.stats();
   }
-  [[nodiscard]] solver::CutPool::Stats pool_stats() const { return pool_.stats(); }
   [[nodiscard]] const topo::Topology& topology() const { return topo_; }
 
  private:
@@ -284,10 +276,6 @@ class Shard {
   // Drift tracking for the re-solve trigger.
   double drift_abs_ = 0.0;            ///< Σ |λ̂ − λ̂_admitted| over live tenants
   double lambda_admitted_sum_ = 0.0;  ///< Σ λ̂_admitted over live tenants
-
-  // Cross-epoch Benders cut pool, fingerprint-gated.
-  solver::CutPool pool_;
-  std::uint64_t pool_fingerprint_ = 0;
 
   ShardStats stats_;
 };

@@ -88,7 +88,8 @@ TEST(CutPool, EvictionTakesIdleLowActivityOldestFirst) {
   // A (over var 0) no longer scans; B and C still do.
   EXPECT_EQ(pool.violated_at({0.0, 0.0, 0.0}).size(), 2u);
   // The log still remembers every admitted row.
-  EXPECT_EQ(pool.log_size(), 3u);
+  std::size_t version = 0;
+  EXPECT_EQ(pool.fetch_new(version).size(), 3u);
 }
 
 TEST(CutPool, FetchNewReturnsOnlyRowsPastVersion) {
@@ -139,7 +140,7 @@ TEST(CutPool, ConcurrentInsertAndLookupFourThreads) {
   EXPECT_GT(stats.duplicates, 0);
   std::size_t version = 0;
   const auto all = pool.fetch_new(version);
-  EXPECT_EQ(all.size(), pool.log_size());
+  EXPECT_EQ(all.size(), static_cast<std::size_t>(stats.inserted));
   for (const Rowdef& r : pool.violated_at(std::vector<double>(12, 100.0))) {
     // Survivor rhs is the support's minimum: rhs/2 (normalization scales
     // by the max coefficient 2.0) of min(s, s+8) = s for support s.

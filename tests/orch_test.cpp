@@ -183,39 +183,6 @@ TEST(Simulation, RetryRejectedQueuesAgain) {
   EXPECT_EQ(r1.rejected.size() + r1.accepted.size(), rejected_first);
 }
 
-TEST(Simulation, SingleTreeSharesCutPoolAcrossEpochs) {
-  // With share_cut_pool (default on) the single-tree master keeps its
-  // Benders cuts in a Simulation-owned pool between epochs. Converged
-  // oracle forecasts + a persistently retried reject give two successive
-  // solves the *same* instance fingerprint: the second starts from the
-  // first's pooled cuts instead of separating from scratch.
-  OrchestratorConfig cfg = fast_cfg(Algorithm::Benders);
-  cfg.benders.single_tree = true;
-  cfg.learn_forecasts = false;  // declared descriptors: stable λ̂ σ̂
-  cfg.retry_rejected = true;
-  Simulation sim(topo::make_testbed(), 2, cfg);
-  // Same overload as RetryRejectedQueuesAgain: one mMTC fits, the other
-  // keeps retrying (and stays rejected), forcing a solve every epoch over
-  // an unchanged tenant set.
-  for (std::uint32_t i = 0; i < 2; ++i) {
-    sim.submit(request(i, SliceType::mMTC, 0, 10, 10.0, 0.0),
-               gaussian_factory(10.0, 0.0));
-  }
-  const EpochReport r0 = sim.run_epoch();
-  ASSERT_EQ(r0.accepted.size(), 1u);
-  ASSERT_EQ(r0.rejected.size(), 1u);
-  const EpochReport r1 = sim.run_epoch();  // pins + retry: new fingerprint
-  ASSERT_EQ(r1.rejected.size(), 1u);
-  EXPECT_GT(r1.cuts_separated, 0);
-  const EpochReport r2 = sim.run_epoch();  // identical instance: pool carry
-  ASSERT_EQ(r2.rejected.size(), 1u);
-  EXPECT_GT(r2.cuts_from_pool, 0);
-  // Overbooking accounting fields are populated alongside.
-  EXPECT_GE(r2.overbooked_mbps, 0.0);
-  EXPECT_GE(r2.radio_headroom_mbps, 0.0);
-  EXPECT_GE(r2.violation_minutes, 0.0);
-}
-
 // ---------------------------------------------------------------- Scenarios
 
 TEST(Scenario, BuildersProduceRequestedMixes) {
@@ -277,6 +244,44 @@ TEST(Scenario, ViolationFootprintIsSmall) {
   const ScenarioResult res = run_scenario(cfg);
   EXPECT_LT(res.violation_prob, 0.05);
   EXPECT_LE(res.max_drop_fraction, 1.0);
+}
+
+TEST(Scenario, ResultMergesSearchCountersOverEpochs) {
+  // Single-tree Benders with pseudocost branching: the scenario result
+  // carries every search counter of its epochs' admission solves, cut and
+  // branching counters alike. All requests arrive at epoch 0 and the
+  // oracle forecasts never change, so later epochs solve nothing; their
+  // zero counters and −1 first-incumbent sentinel must leave the epoch-0
+  // values intact.
+  ScenarioConfig cfg;
+  cfg.topology = "romanian";
+  cfg.scale = 0.03;
+  cfg.seed = 5;
+  cfg.k_paths = 2;
+  cfg.tenants = homogeneous(SliceType::eMBB, 8, 0.2, 0.25, 1.0);
+  cfg.benders.single_tree = true;
+  cfg.benders.master.branching = solver::BranchRule::Pseudocost;
+  cfg.min_epochs = 1;
+  cfg.max_epochs = 1;
+  const ScenarioResult one = run_scenario(cfg);
+  cfg.min_epochs = 4;
+  cfg.max_epochs = 4;
+  const ScenarioResult four = run_scenario(cfg);
+  ASSERT_EQ(four.epochs, 4u);
+  EXPECT_GT(one.cuts_separated, 0);
+  EXPECT_GT(one.separation_rounds, 0);
+  EXPECT_GT(one.pseudocost_branchings + one.strong_probes, 0);
+  EXPECT_GE(one.first_incumbent_nodes, 0);
+  EXPECT_EQ(four.cuts_separated, one.cuts_separated);
+  EXPECT_EQ(four.separation_rounds, one.separation_rounds);
+  EXPECT_EQ(four.pseudocost_branchings, one.pseudocost_branchings);
+  EXPECT_EQ(four.strong_probes, one.strong_probes);
+  EXPECT_EQ(four.heuristic_incumbents, one.heuristic_incumbents);
+  EXPECT_EQ(four.first_incumbent_nodes, one.first_incumbent_nodes);
+  // Overbooking accounting rides along with the counters.
+  EXPECT_GE(four.violation_minutes, 0.0);
+  EXPECT_GE(four.mean_overbooked_mbps, 0.0);
+  EXPECT_GE(four.mean_radio_headroom_mbps, 0.0);
 }
 
 }  // namespace

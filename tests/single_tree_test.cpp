@@ -14,7 +14,6 @@
 #include "acrr/benders.hpp"
 #include "acrr/instance.hpp"
 #include "common/rng.hpp"
-#include "solver/cut_pool.hpp"
 #include "solver/milp.hpp"
 #include "topo/generators.hpp"
 
@@ -129,35 +128,6 @@ TEST(LazyCuts, AbandonedSeparationDropsNodeConservatively) {
   EXPECT_EQ(res.status, solver::MilpStatus::NoSolution);
   EXPECT_TRUE(res.x.empty());
   EXPECT_LE(res.best_bound, -1.0 + 1e-9);
-}
-
-TEST(LazyCuts, SharedPoolCarriesCutsAcrossSolves) {
-  // A caller-owned pool re-rejects known-bad candidates in a second solve
-  // without invoking the callback again (cuts_from_pool at work).
-  solver::CutPool pool;
-  long calls = 0;
-  solver::MilpOptions opts;
-  opts.cut_pool = &pool;
-  opts.lazy_cuts = [&calls](const solver::LazyCutContext& ctx) {
-    solver::LazyCutResult out;
-    if (ctx.x[0] + ctx.x[1] > 1.5) {
-      ++calls;
-      out.cuts.push_back(cut_row("cap", {{0, 1.0}, {1, 1.0}}, 1.5));
-    }
-    return out;
-  };
-  const solver::MilpResult first = solver::solve_milp(two_binary_model(), opts);
-  EXPECT_DOUBLE_EQ(first.objective, -1.0);
-  const long calls_after_first = calls;
-  EXPECT_GE(calls_after_first, 1);
-  const solver::MilpResult second =
-      solver::solve_milp(two_binary_model(), opts);
-  EXPECT_DOUBLE_EQ(second.objective, -1.0);
-  // The pooled cut joins the second solve's lane models up front (the
-  // fetch_new sync), so the (1,1) candidate never surfaces: the callback
-  // is not consulted again and nothing new is separated.
-  EXPECT_EQ(calls, calls_after_first);
-  EXPECT_EQ(second.cuts_separated, 0);
 }
 
 // -------------------------------------------------------------- acrr layer

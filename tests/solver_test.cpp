@@ -665,6 +665,49 @@ TEST(MilpWarm, RootWarmStartPreservesOptimum) {
 
 // --------------------------------------------------------------------- MILP
 
+TEST(SearchStats, MergeSumsCountersAndKeepsEarliestIncumbent) {
+  const auto stats = [](long base, long first_incumbent) {
+    SearchStats s;
+    s.cuts_separated = base + 1;
+    s.cuts_from_pool = base + 2;
+    s.cuts_evicted = base + 3;
+    s.separation_rounds = base + 4;
+    s.pseudocost_branchings = base + 5;
+    s.strong_probes = base + 6;
+    s.heuristic_incumbents = base + 7;
+    s.first_incumbent_nodes = first_incumbent;
+    return s;
+  };
+  SearchStats acc;  // defaults: zero counters, no incumbent (−1)
+  EXPECT_EQ(acc.first_incumbent_nodes, -1);
+  acc.merge(SearchStats{});  // −1 on both sides stays −1
+  EXPECT_EQ(acc.first_incumbent_nodes, -1);
+  acc.merge(stats(0, 40));   // −1 on the left takes the right value
+  EXPECT_EQ(acc.first_incumbent_nodes, 40);
+  acc.merge(stats(10, -1));  // −1 on the right keeps the left value
+  EXPECT_EQ(acc.first_incumbent_nodes, 40);
+  acc.merge(stats(20, 55));  // larger value: the minimum stays
+  EXPECT_EQ(acc.first_incumbent_nodes, 40);
+  acc.merge(stats(30, 0));   // 0 is a real value, not a sentinel
+  EXPECT_EQ(acc.first_incumbent_nodes, 0);
+  // Every counter sums over the four non-default merges (bases 0..30).
+  EXPECT_EQ(acc.cuts_separated, 60 + 4 * 1);
+  EXPECT_EQ(acc.cuts_from_pool, 60 + 4 * 2);
+  EXPECT_EQ(acc.cuts_evicted, 60 + 4 * 3);
+  EXPECT_EQ(acc.separation_rounds, 60 + 4 * 4);
+  EXPECT_EQ(acc.pseudocost_branchings, 60 + 4 * 5);
+  EXPECT_EQ(acc.strong_probes, 60 + 4 * 6);
+  EXPECT_EQ(acc.heuristic_incumbents, 60 + 4 * 7);
+  // A MilpResult merges as its SearchStats base.
+  MilpResult res;
+  res.strong_probes = 2;
+  res.first_incumbent_nodes = 3;
+  SearchStats fresh;
+  fresh.merge(res);
+  EXPECT_EQ(fresh.strong_probes, 2);
+  EXPECT_EQ(fresh.first_incumbent_nodes, 3);
+}
+
 TEST(Milp, SimpleKnapsack) {
   // max 10a + 6b + 4c s.t. a+b+c<=2 (binary)  => min form, optimum -16.
   LpModel m;

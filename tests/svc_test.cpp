@@ -1,8 +1,7 @@
 // Tests for the online admission-control service (src/svc): deterministic
 // replay across thread counts, tenant state transitions, arena/slab reuse on
-// the hot path, overload shedding, cross-epoch cut-pool carry,
-// fixed-duration expiry and the solver work of a catalog-day epoch
-// re-solve.
+// the hot path, overload shedding, fixed-duration expiry and the solver
+// work of epoch re-solves.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -275,54 +274,6 @@ TEST(SvcOverload, FullQueueShedsAndFullShardRejects) {
   EXPECT_EQ(s.live_tenants, 2u);
 }
 
-// -------------------------------------------------- cross-epoch cut pool
-
-TEST(SvcCutPool, BendersResolveCarriesCutsAcrossEpochs) {
-  // Periodic full re-solves of an UNCHANGED shard population share one
-  // fingerprint, so the second resolve re-prices candidates from the
-  // pooled cuts of the first instead of separating them again.
-  exec::ThreadPool pool(1);
-  ServiceConfig cfg;
-  cfg.num_shards = 1;
-  cfg.shard.full_resolve_every = 1;
-  AdmissionService svc(mini(), cfg, &pool);
-  for (std::uint64_t id = 1; id <= 4; ++id) {
-    ASSERT_TRUE(svc.submit(
-        make_arrival(id, slice::SliceType::eMBB, 30.0, 0.5, 4.0)));
-  }
-  ASSERT_TRUE(svc.submit(make_epoch_tick()));
-  ASSERT_TRUE(svc.submit(make_epoch_tick()));
-  svc.drain();
-
-  const ShardStats& s = svc.shard(0).stats();
-  EXPECT_EQ(s.full_resolves, 2u);
-  EXPECT_EQ(s.pool_resets, 0u);  // same population -> same fingerprint
-  EXPECT_GT(s.cuts_separated, 0);
-  EXPECT_GT(s.cuts_from_pool, 0);  // solve 2 started from solve 1's cuts
-  EXPECT_GT(svc.shard(0).pool_stats().inserted, 0);
-}
-
-TEST(SvcCutPool, PopulationChangeResetsThePool) {
-  exec::ThreadPool pool(1);
-  ServiceConfig cfg;
-  cfg.num_shards = 1;
-  cfg.shard.full_resolve_every = 1;
-  AdmissionService svc(mini(), cfg, &pool);
-  for (std::uint64_t id = 1; id <= 3; ++id) {
-    ASSERT_TRUE(svc.submit(
-        make_arrival(id, slice::SliceType::eMBB, 30.0, 0.5, 4.0)));
-  }
-  ASSERT_TRUE(svc.submit(make_epoch_tick()));
-  // Change the population: the next resolve's fingerprint differs and the
-  // pool must be cleared (stale cuts reference a dead column layout).
-  ASSERT_TRUE(svc.submit(make_departure(2)));
-  ASSERT_TRUE(svc.submit(make_epoch_tick()));
-  svc.drain();
-  const ShardStats& s = svc.shard(0).stats();
-  EXPECT_EQ(s.full_resolves, 2u);
-  EXPECT_EQ(s.pool_resets, 1u);
-}
-
 // ------------------------------------------------ epoch re-solve work
 
 /// Same decision, every field but the measured latency.
@@ -330,6 +281,60 @@ bool same_decision(const Decision& a, const Decision& b) {
   return a.seq == b.seq && a.tenant_id == b.tenant_id && a.event == b.event &&
          a.shard == b.shard && a.kind == b.kind && a.z_total == b.z_total &&
          a.value == b.value;
+}
+
+TEST(SvcResolveWork, UnchangedPopulationResolvesIdentically) {
+  // Periodic full re-solves of an UNCHANGED shard population: each re-solve
+  // owns its cut pool, so the second one repeats the first's separation,
+  // master work and reservations exactly.
+  exec::ThreadPool pool(1);
+  ServiceConfig cfg;
+  cfg.num_shards = 1;
+  cfg.shard.full_resolve_every = 1;
+  AdmissionService svc(mini(), cfg, &pool);
+  constexpr std::uint64_t kTenants = 4;
+  for (std::uint64_t id = 1; id <= kTenants; ++id) {
+    ASSERT_TRUE(svc.submit(
+        make_arrival(id, slice::SliceType::eMBB, 30.0, 0.5, 4.0)));
+  }
+  svc.drain();
+
+  struct Resolve {
+    long cuts_separated = 0;
+    long separation_rounds = 0;
+    long master_pivots = 0;
+    std::vector<double> reservations;
+  };
+  const auto tick = [&svc] {
+    const ShardStats before = svc.shard(0).stats();
+    EXPECT_TRUE(svc.submit(make_epoch_tick()));
+    svc.drain();
+    const ShardStats& after = svc.shard(0).stats();
+    EXPECT_EQ(after.full_resolves, before.full_resolves + 1);
+    Resolve r;
+    r.cuts_separated = after.cuts_separated - before.cuts_separated;
+    r.separation_rounds = after.separation_rounds - before.separation_rounds;
+    r.master_pivots =
+        after.resolve_master_pivots - before.resolve_master_pivots;
+    for (std::uint64_t id = 1; id <= kTenants; ++id) {
+      r.reservations.push_back(svc.shard(0).reservation_total(id));
+    }
+    return r;
+  };
+  const Resolve first = tick();
+  const Resolve second = tick();
+  EXPECT_GT(first.cuts_separated, 0);
+  EXPECT_EQ(second.cuts_separated, first.cuts_separated);
+  EXPECT_EQ(second.separation_rounds, first.separation_rounds);
+  EXPECT_EQ(second.master_pivots, first.master_pivots);
+  EXPECT_EQ(second.reservations, first.reservations);
+
+  // A population change still re-solves, from scratch like every re-solve.
+  ASSERT_TRUE(svc.submit(make_departure(2)));
+  const Resolve third = tick();
+  EXPECT_GT(third.separation_rounds, 0);
+  EXPECT_EQ(svc.shard(0).stats().full_resolves, 3u);
+  EXPECT_EQ(svc.shard(0).stats().pool_resets, 0u);
 }
 
 TEST(SvcResolveWork, FlashDayRefactorizationsBoundedByPivots) {
