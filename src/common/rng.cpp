@@ -1,12 +1,21 @@
 #include "common/rng.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <random>
 
 namespace ovnes {
 namespace {
 
+// One step of the mt19937_64 recurrence
+// x[k+n] = x[k+m] ^ A(upper 33 bits of x[k] | lower 31 bits of x[k+1]).
+std::uint64_t twist(std::uint64_t xk, std::uint64_t xk1, std::uint64_t xkm) {
+  const std::uint64_t y = (xk & 0xffffffff80000000ULL) | (xk1 & 0x7fffffffULL);
+  return xkm ^ (y >> 1) ^ ((y & 1) ? 0xb5026f5aa96619e9ULL : 0);
+}
+
 // FNV-1a over the label bytes, mixed with parent seed and index via
-// splitmix64 finalization. Quality is ample for seeding mt19937_64.
+// splitmix64 finalization. Quality is ample for seeding the Mersenne Twister.
 std::uint64_t mix(std::uint64_t h) {
   h += 0x9e3779b97f4a7c15ULL;
   h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -15,6 +24,32 @@ std::uint64_t mix(std::uint64_t h) {
 }
 
 }  // namespace
+
+void LazyMt19937_64::refill() {
+  if (ready_ == kN) {
+    for (std::size_t k = 0; k < kN - kM; ++k) {
+      x_[k] = twist(x_[k], x_[k + 1], x_[k + kM]);
+    }
+    for (std::size_t k = kN - kM; k < kN - 1; ++k) {
+      x_[k] = twist(x_[k], x_[k + 1], x_[k + kM - kN]);
+    }
+    x_[kN - 1] = twist(x_[kN - 1], x_[0], x_[kM - 1]);
+    next_ = 0;
+    return;
+  }
+  // First round: word k reads old words k+1 and k+m (k < n-m), or the
+  // already twisted words k+m-n and, for k = n-1, word 0.
+  const std::size_t k = ready_;
+  const std::size_t need = std::min(k + kM + 1, kN);
+  for (; seeded_ < need; ++seeded_) {
+    const std::uint64_t prev = x_[seeded_ - 1];
+    x_[seeded_] = 6364136223846793005ULL * (prev ^ (prev >> 62)) + seeded_;
+  }
+  const std::size_t k1 = k + 1 < kN ? k + 1 : 0;
+  const std::size_t km = k + kM < kN ? k + kM : k + kM - kN;
+  x_[k] = twist(x_[k], x_[k1], x_[km]);
+  ++ready_;
+}
 
 RngStream RngStream::derive(std::string_view label, std::uint64_t index) const {
   std::uint64_t h = 1469598103934665603ULL;

@@ -227,11 +227,18 @@ EpochReport Simulation::run_epoch() {
   std::vector<std::vector<double>> epoch_peak(active_.size());
   for (auto& v : epoch_peak) v.assign(b_count, 0.0);
 
+  // Looked up once per epoch: runtime_ is not modified until expiry.
+  std::vector<SliceRuntime*> runtimes;
+  runtimes.reserve(active_.size());
+  for (const ActiveSlice& s : active_) {
+    runtimes.push_back(&runtime_.at(s.request.name));
+  }
+
   for (std::size_t theta = 0; theta < cfg_.samples_per_epoch; ++theta) {
     const std::size_t sample_idx = sample_counter_++;
     for (std::size_t i = 0; i < active_.size(); ++i) {
       ActiveSlice& s = active_[i];
-      SliceRuntime& rt = runtime_.at(s.request.name);
+      SliceRuntime& rt = *runtimes[i];
       const Money k_share = s.request.penalty_rate() /
                             static_cast<double>(b_count);
       double delivered_sum = 0.0;
@@ -246,8 +253,6 @@ EpochReport Simulation::run_epoch() {
         // (§2.1.3) and carries no penalty.
         ledger_.add_sample(within_sla, within_sla - mb.dropped_overflow,
                            k_share);
-        monitor_.append("load/" + s.request.name + "/bs" + std::to_string(bi),
-                        static_cast<double>(sample_idx), offered);
         epoch_peak[i][bi] = std::max(epoch_peak[i][bi], offered);
         delivered_sum += mb.delivered;
         // Usage accounting (mean over samples).
@@ -293,9 +298,8 @@ EpochReport Simulation::run_epoch() {
   // ---- 4. Rewards, forecaster updates, expiry.
   for (std::size_t i = 0; i < active_.size(); ++i) {
     ledger_.add_reward(active_[i].request.tmpl.reward);
-    SliceRuntime& rt = runtime_.at(active_[i].request.name);
     for (std::size_t bi = 0; bi < b_count; ++bi) {
-      rt.forecaster[bi]->observe(epoch_peak[i][bi]);
+      runtimes[i]->forecaster[bi]->observe(epoch_peak[i][bi]);
     }
   }
   report.active_slices = active_.size();

@@ -3,11 +3,12 @@
 //
 // The control loop reproduces §2.2.2: at each decision epoch the AC-RR
 // engine (Benders / KAC / no-overbooking) decides admissions, CU selection
-// and reservations from the current forecasts; during the epoch the
-// monitoring function collects κ load samples per (tenant, BS); the
-// per-epoch peak λ(t) = max_θ λ(θ) feeds the Holt-Winters forecasters that
-// drive the next decision. Already-admitted slices are pinned (constraint
-// (13)) with the §3.4 big-M relaxation absorbing forecast-driven deficits.
+// and reservations from the current forecasts; during the epoch κ load
+// samples per (tenant, BS) pass through the data plane, and only their
+// per-epoch peak λ(t) = max_θ λ(θ) is kept: it feeds the Holt-Winters
+// forecasters that drive the next decision. Already-admitted slices are
+// pinned (constraint (13)) with the §3.4 big-M relaxation absorbing
+// forecast-driven deficits.
 //
 // The same engine simulates the data plane: per-sample tenant loads pass
 // through a SplitTcpMiddlebox per (tenant, BS) (§2.1.3) and the realized
@@ -25,7 +26,6 @@
 #include "acrr/benders.hpp"
 #include "acrr/kac.hpp"
 #include "common/rng.hpp"
-#include "common/time_series.hpp"
 #include "dataplane/middlebox.hpp"
 #include "forecast/smoothing.hpp"
 #include "orch/controllers.hpp"
@@ -51,9 +51,9 @@ struct OrchestratorConfig {
   /// sustained overload overflows into drops — which is what the paper's
   /// SLA-violation statistics count.
   double backlog_seconds = 60.0;
-  /// Use per-(tenant, BS) Holt-Winters forecasters fed by monitoring; when
-  /// false, forecasts come from the tenants' declared descriptors only
-  /// (the converged-oracle mode used by the Fig. 5/6 simulations).
+  /// Use per-(tenant, BS) Holt-Winters forecasters fed the per-epoch peak
+  /// load; when false, forecasts come from the tenants' declared descriptors
+  /// only (the converged-oracle mode used by the Fig. 5/6 simulations).
   bool learn_forecasts = true;
   std::size_t hw_period = 24;           ///< season length in epochs (1 day)
   /// Rejected requests retry at the next epoch instead of being dropped.
@@ -136,7 +136,6 @@ class Simulation {
   [[nodiscard]] const topo::Topology& topology() const { return topo_; }
   [[nodiscard]] const std::vector<ActiveSlice>& active() const { return active_; }
   [[nodiscard]] std::size_t current_epoch() const { return epoch_; }
-  [[nodiscard]] const TimeSeriesStore& monitoring() const { return monitor_; }
   /// Cumulative net revenue (Fig. 8a).
   [[nodiscard]] Money cumulative_net_revenue() const { return ledger_.net_revenue(); }
 
@@ -181,7 +180,6 @@ class Simulation {
   std::vector<ActiveSlice> active_;
   std::map<std::string, SliceRuntime> runtime_;  ///< keyed by slice name
   slice::RevenueLedger ledger_;
-  TimeSeriesStore monitor_;
   std::size_t epoch_ = 0;
   std::size_t sample_counter_ = 0;
 };

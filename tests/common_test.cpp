@@ -1,10 +1,13 @@
 // Unit tests for src/common: RNG streams, running stats, empirical
-// distributions, time-series store, JSON round-trip, row formatting.
+// distributions, JSON round-trip, row formatting.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
+#include <random>
 #include <set>
 #include <vector>
 
@@ -12,7 +15,6 @@
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
-#include "common/time_series.hpp"
 
 namespace ovnes {
 namespace {
@@ -33,6 +35,114 @@ TEST(RngStream, DerivedStreamsDiffer) {
   EXPECT_NE(t0.seed(), topo.seed());
   // Derivation is a pure function of (seed, label, index).
   EXPECT_EQ(root.derive("traffic", 0).seed(), t0.seed());
+}
+
+// Every pinned digest and fingerprint rests on RngStream's draws being
+// those of std::mt19937_64, so the lazily built engine is checked against
+// the standard one. The lengths straddle the lazily seeded first round
+// (156 = n - m, 312 = n) and the full twists after it; each stream is then
+// copied mid-flight and both copies run on through another full round.
+TEST(RngStream, DrawsMatchStdMt19937_64) {
+  const RngStream root(2018);
+  std::vector<std::uint64_t> seeds = {0, 1, 5489, 2018, ~std::uint64_t{0}};
+  for (std::uint64_t i = 0; i < 8; ++i) {
+    seeds.push_back(root.derive("arrival", i).seed());
+    seeds.push_back(root.derive("scenario", i).derive("tenant", 3).seed());
+  }
+  for (const std::uint64_t seed : seeds) {
+    for (const std::size_t len :
+         {0, 1, 155, 156, 157, 310, 311, 312, 313, 624, 5000}) {
+      LazyMt19937_64 lazy(seed);
+      std::mt19937_64 oracle(seed);
+      for (std::size_t k = 0; k < len; ++k) {
+        ASSERT_EQ(lazy(), oracle()) << "seed " << seed << " draw " << k;
+      }
+      LazyMt19937_64 copy = lazy;
+      std::mt19937_64 oracle_copy = oracle;
+      for (std::size_t k = 0; k < 400; ++k) {
+        const std::uint64_t want = oracle();
+        ASSERT_EQ(lazy(), want) << "seed " << seed << " after " << len;
+        ASSERT_EQ(copy(), want) << "copy, seed " << seed << " after " << len;
+        ASSERT_EQ(oracle_copy(), want);
+      }
+    }
+  }
+
+  // Every RngStream method maps the engine's output as the std
+  // distributions map std::mt19937_64's (fresh distribution per call).
+  for (const std::uint64_t seed : seeds) {
+    RngStream r(seed);
+    std::mt19937_64 o(seed);
+    auto normal = [&o](double m, double sd) {
+      return std::normal_distribution<double>(m, sd)(o);
+    };
+    for (int step = 0; step < 1200; ++step) {
+      switch (step % 8) {
+        case 0:
+          ASSERT_EQ(r.uniform(2.0, 5.0),
+                    std::uniform_real_distribution<double>(2.0, 5.0)(o));
+          break;
+        case 1:
+          ASSERT_EQ(r.gaussian(10.0, 2.0), normal(10.0, 2.0));
+          break;
+        case 2: {
+          // Mean below the floor: exercises the resampling loop.
+          double want = 0.0;
+          for (int attempt = 0; attempt < 64; ++attempt) {
+            const double v = normal(-0.5, 1.0);
+            if (v >= 0.0) {
+              want = v;
+              break;
+            }
+          }
+          ASSERT_EQ(r.truncated_gaussian(-0.5, 1.0, 0.0), want);
+          break;
+        }
+        case 3:
+          ASSERT_EQ(r.uniform_int(-3, 1000),
+                    std::uniform_int_distribution<std::int64_t>(-3, 1000)(o));
+          break;
+        case 4:
+          ASSERT_EQ(r.exponential(4.0),
+                    std::exponential_distribution<double>(0.25)(o));
+          break;
+        case 5: {
+          const double u = 1.0 - std::uniform_real_distribution<double>(0.0, 1.0)(o);
+          ASSERT_EQ(r.pareto(1.5, 2.0), 2.0 * std::pow(u, -1.0 / 1.5));
+          break;
+        }
+        case 6:
+          ASSERT_EQ(r.lognormal(0.3, 0.8), std::exp(normal(0.3, 0.8)));
+          break;
+        default:
+          ASSERT_EQ(r.flip(0.3), std::bernoulli_distribution(0.3)(o));
+          break;
+      }
+    }
+  }
+
+  // A half-materialised stream copies into two streams that draw alike.
+  RngStream a = root.derive("arrival", 5);
+  std::mt19937_64 o(a.seed());
+  constexpr std::int64_t lo = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t hi = std::numeric_limits<std::int64_t>::max();
+  std::uniform_int_distribution<std::int64_t> all(lo, hi);
+  for (int k = 0; k < 100; ++k) ASSERT_EQ(a.uniform_int(lo, hi), all(o));
+  RngStream b = a;
+  for (int k = 0; k < 1000; ++k) {
+    const std::int64_t want = all(o);
+    ASSERT_EQ(a.uniform_int(lo, hi), want);
+    ASSERT_EQ(b.uniform_int(lo, hi), want);
+  }
+}
+
+// Golden draws: any change of engine or seed derivation fails here first.
+TEST(RngStream, GoldenDrawsOfDerivedStream) {
+  RngStream r = RngStream(2018).derive("arrival", 1);
+  EXPECT_EQ(r.seed(), 2746657620550987126ULL);
+  EXPECT_EQ(r.uniform(), 0x1.3ef403dfb2de8p-7);
+  EXPECT_EQ(r.uniform(), 0x1.f07f788052702p-1);
+  EXPECT_EQ(r.uniform(), 0x1.f737f96dacb6p-1);
 }
 
 TEST(RngStream, UniformRange) {
@@ -178,29 +288,6 @@ TEST(EmpiricalDistribution, CdfSeriesMonotone) {
     EXPECT_GE(series[i].second, series[i - 1].second);
   }
   EXPECT_DOUBLE_EQ(series.back().second, 1.0);
-}
-
-// ------------------------------------------------------------ TimeSeriesStore
-
-TEST(TimeSeriesStore, AppendAndRange) {
-  TimeSeriesStore ts;
-  for (int i = 0; i < 10; ++i) ts.append("load/t0", i, i * 2.0);
-  EXPECT_EQ(ts.series("load/t0").size(), 10u);
-  EXPECT_EQ(ts.range("load/t0", 2.0, 5.0).size(), 3u);
-  EXPECT_TRUE(ts.series("unknown").empty());
-}
-
-TEST(TimeSeriesStore, MaxInWindowIsPeakAggregation) {
-  // λ(t) = max over monitoring samples in the epoch (§2.2.2).
-  TimeSeriesStore ts;
-  ts.append("l", 0.0, 5.0);
-  ts.append("l", 0.5, 9.0);
-  ts.append("l", 0.9, 7.0);
-  ts.append("l", 1.0, 100.0);  // next epoch
-  const auto peak = ts.max_in("l", 0.0, 1.0);
-  ASSERT_TRUE(peak.has_value());
-  EXPECT_DOUBLE_EQ(*peak, 9.0);
-  EXPECT_FALSE(ts.max_in("l", 5.0, 6.0).has_value());
 }
 
 // ---------------------------------------------------------------------- JSON
