@@ -398,9 +398,9 @@ void BM_MilpBnbThroughput(benchmark::State& state) {
 BENCHMARK(BM_MilpBnbThroughput)->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
-// Anytime first-feasible behaviour (ISSUE 10): the heuristics variant of
+// Anytime first-feasible behaviour: the heuristics variant of
 // BM_MilpBnbThroughput at m >= 1000 variables. range(0) = variable count,
-// range(1) = heuristics+pseudocost on/off. Node-limited so the counters
+// range(1) = RENS/LNS on/off. Node-limited so the counters
 // measure time-to-first-incumbent and the proven gap at equal search
 // budget; the pinned twins live in bench_regression's
 // solver/milp_heuristics_* cases.
@@ -415,7 +415,6 @@ void BM_MilpFirstFeasible(benchmark::State& state) {
   // to be meaningful (mirrors the bench_regression pinned cases).
   opts.max_nodes = 2 * n;
   if (heur) {
-    opts.branching = BranchRule::Pseudocost;
     opts.rens_heuristic = true;
     opts.lns_interval = 200;
   }

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Diff a bench_regression report against the committed BENCH_13.json baseline.
+"""Diff a bench_regression report against the committed BENCH_16.json baseline.
 
 Two modes:
 
@@ -8,7 +8,7 @@ Two modes:
       the fingerprint (canonical config digest) and every `correctness`
       field must be EXACTLY equal — any drift means either a real
       regression or an intentional change that requires regenerating the
-      baseline (run `bench_regression --out BENCH_13.json` and commit it).
+      baseline (run `bench_regression --out BENCH_16.json` and commit it).
       `timing` duration fields (*_ms / *_sec) must stay within a factor of
       --band of the baseline; fields whose baseline is below the noise
       floor (5 ms / 0.005 s) are skipped, and rate / latency-percentile
@@ -33,12 +33,11 @@ now computed from the solver/convergence_* cases of CURRENT (or B):
 summed st_sep_rounds strictly below summed mt_sep_rounds, summed st_pivots
 within --pivot-slack of mt_pivots, and optimality parity per case.
 
-The solver/milp_heuristics_* cases carry their own gates (ISSUE 10): at an
-equal node budget the heuristics+pseudocost configuration must find an
-incumbent (>= 1 from a heuristic, with strong-branching probes actually
-run), must reach its first incumbent no later than the default rule, and
-must not regress the proven gap (a default run with no incumbent — null
-gap — gates trivially).
+The solver/milp_heuristics_* cases carry their own gates: at an equal node
+budget the RENS/LNS configuration must find an incumbent (>= 1 from a
+heuristic), must reach its first incumbent no later than the default
+configuration, and must not regress the proven gap (a default run with no
+incumbent — null gap — gates trivially).
 
 Appends a markdown diff table to $GITHUB_STEP_SUMMARY when set.
 Exit codes: 0 pass, 1 regression, 2 malformed input.
@@ -83,7 +82,7 @@ def diff_case(name, base, cur, band, failures, rows):
         failures.append(
             f"{name}: config fingerprint changed "
             f"({base['fingerprint']} -> {cur['fingerprint']}); "
-            f"regenerate BENCH_13.json")
+            f"regenerate BENCH_16.json")
         return
     bc, cc = base["correctness"], cur["correctness"]
     for field in sorted(set(bc) | set(cc)):
@@ -135,7 +134,7 @@ def convergence_gates(report, pivot_slack, failures):
 
 
 def milp_heuristics_gates(report, failures):
-    """ISSUE 10 acceptance gates over the solver/milp_heuristics_* cases."""
+    """RENS/LNS-vs-default gates over the solver/milp_heuristics_* cases."""
     cases = [c for c in report["cases"]
              if c["name"].startswith("solver/milp_heuristics")]
     for c in cases:
@@ -146,8 +145,6 @@ def milp_heuristics_gates(report, failures):
                             f"(status {cc.get('heur_status')!r})")
         if cc.get("heuristic_incumbents", 0) < 1:
             failures.append(f"{name}: no heuristic incumbent was installed")
-        if cc.get("strong_probes", 0) < 1:
-            failures.append(f"{name}: strong branching never probed")
         def_first = cc.get("def_first_incumbent_nodes", -1)
         heur_first = cc.get("heur_first_incumbent_nodes", -1)
         if def_first >= 0 and not (0 <= heur_first <= def_first):
@@ -215,7 +212,7 @@ def run_diff(base_path, cur_path, band, pivot_slack):
     if base["catalog_fingerprint"] != cur["catalog_fingerprint"]:
         failures.append(
             "catalog fingerprint changed — the case catalog or a case config "
-            "was edited; regenerate BENCH_13.json with `bench_regression --out` "
+            "was edited; regenerate BENCH_16.json with `bench_regression --out` "
             "and commit it")
 
     smoke = cur["mode"] == "smoke"
@@ -226,7 +223,7 @@ def run_diff(base_path, cur_path, band, pivot_slack):
         failures.append(f"cases missing from current run: {missing}")
     extra = sorted(set(cc) - set(cb))
     if extra:
-        failures.append(f"cases not in baseline (regenerate BENCH_13.json): "
+        failures.append(f"cases not in baseline (regenerate BENCH_16.json): "
                         f"{extra}")
 
     for name in sorted(expected & set(cc)):
@@ -243,7 +240,7 @@ def main():
     ap = argparse.ArgumentParser(
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("baseline", help="baseline report (BENCH_13.json), or "
+    ap.add_argument("baseline", help="baseline report (BENCH_16.json), or "
                                      "report A with --exact")
     ap.add_argument("current", help="current report, or report B with --exact")
     ap.add_argument("--exact", action="store_true",

@@ -324,9 +324,13 @@ AdmissionResult solve_benders_single_tree(const AcrrInstance& inst,
       out.abandon = true;
       return out;
     }
-    if (sr.feasible) {
-      // Any feasible slave prices a complete admission: a valid upper
-      // bound whether or not the candidate survives (Algorithm 1 line 12).
+    if (sr.feasible && ctx.integral) {
+      // A feasible slave at an integral candidate prices a complete
+      // admission: a valid upper bound whether or not the candidate
+      // survives (Algorithm 1 line 12). A fractional root point rounded
+      // at 0.5 is no such admission — assemble_result would drop its
+      // incomplete tenants, so its Γ would not be the reported set's
+      // objective — and only contributes its cut.
       const double gamma = first_stage_cost(active) + sr.objective;
       if (gamma < ub) {
         ub = gamma;
@@ -376,7 +380,10 @@ AdmissionResult solve_benders_single_tree(const AcrrInstance& inst,
   // One slave solve here plays the role of one classic outer iteration.
   res.iterations = static_cast<int>(slave_calls);
   res.solve_ms = elapsed() * 1e3;
-  res.optimal = ub < kInf && ub - lb <= opts.epsilon * (1.0 + std::abs(ub));
+  // An incumbent below the certified bound is a pricing fault, never a
+  // proof of optimality.
+  const double tol = opts.epsilon * (1.0 + std::abs(ub));
+  res.optimal = ub < kInf && ub >= lb - tol && ub - lb <= tol;
   res.deficit = best_deficit;
   static_cast<SearchStats&>(res) = mr;
   res.cuts_separated += mw_cuts;

@@ -64,9 +64,9 @@ SubDiveResult fix_and_dive(LpSession& sess, const std::vector<int>& int_vars,
         lp->status != LpStatus::Optimal || lp->objective >= opts.cutoff;
 
     if (!dead) {
-      const std::vector<BranchCandidate> cands = fractional_candidates(
-          sess.model(), int_vars, opts.int_tol, lp->x);
-      if (cands.empty()) {
+      const int var =
+          pick_branch_var(sess.model(), int_vars, opts.int_tol, lp->x);
+      if (var < 0) {
         // Integral candidate below the cutoff: acceptance gate, then done.
         if (gate != nullptr) {
           if (res.gate_rounds >= opts.max_gate_rounds) {
@@ -98,22 +98,13 @@ SubDiveResult fix_and_dive(LpSession& sess, const std::vector<int>& int_vars,
         unwind();
         return res;
       }
-      // Descend: fix the most fractional candidate to its nearest integer
-      // (ties to the lower variable index via ascending candidate order).
-      std::size_t pick = 0;
-      double best_dist = -1.0;
-      for (std::size_t i = 0; i < cands.size(); ++i) {
-        if (cands[i].dist() > best_dist) {
-          best_dist = cands[i].dist();
-          pick = i;
-        }
-      }
-      const BranchCandidate& c = cands[pick];
-      const double fix = std::round(c.value);
-      const double alt = fix <= c.value ? fix + 1.0 : fix - 1.0;
+      // Descend: fix the most fractional variable to its nearest integer.
+      const double value = lp->x[static_cast<std::size_t>(var)];
+      const double fix = std::round(value);
+      const double alt = fix <= value ? fix + 1.0 : fix - 1.0;
       sess.push();
-      sess.set_bounds(c.var, fix, fix);
-      stack.push_back({c.var, alt, false});
+      sess.set_bounds(var, fix, fix);
+      stack.push_back({var, alt, false});
       continue;
     }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <condition_variable>
 #include <cmath>
-#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -11,6 +10,7 @@
 
 #include "common/rng.hpp"
 #include "exec/thread_pool.hpp"
+#include "solver/branching.hpp"
 #include "solver/cut_pool.hpp"
 #include "solver/heuristics.hpp"
 
@@ -45,12 +45,6 @@ struct Node {
   /// branched variable is pushed out of bounds, so the child LP re-solves
   /// from here with a handful of dual pivots instead of a full Phase 1.
   SharedBasis warm;
-  // Branching that created this node (pseudocost bookkeeping): comparing
-  // this node's LP bound against parent_bound yields the true observed
-  // degradation for (branch_var, direction). branch_var = -1 at the root.
-  int branch_var = -1;
-  bool branch_up = false;
-  double branch_frac = 0.0;  ///< parent LP fractional part of branch_var
 };
 
 /// Heap order for the best-first pool: lowest parent bound first; among
@@ -112,12 +106,6 @@ struct BnbShared {
   /// stall the incumbent/pool bookkeeping of other lanes.
   std::mutex sep_mu;
 
-  /// Pseudocost state (BranchRule::Pseudocost runs only), guarded by
-  /// pc_mu — separate from `mu` so strong-branching probe bookkeeping
-  /// never stalls the incumbent/pool publishing of other lanes.
-  std::mutex pc_mu;
-  Pseudocosts pc;  ///< guarded by pc_mu
-
   std::mutex mu;
   std::condition_variable cv;
   // All fields below are guarded by mu.
@@ -131,10 +119,7 @@ struct BnbShared {
   long nodes = 0;
   LpWork lp_work;
   /// The result's counters, except cuts_evicted (read from the pool at
-  /// compose time). pseudocost_branchings and strong_probes are guarded
-  /// by pc_mu instead — strong_probes counts probe LPs reserved AND run,
-  /// reserved in pairs before the fan-out so the budget is never
-  /// oversubscribed across lanes.
+  /// compose time).
   SearchStats search;
   // LNS scheduling.
   long lns_next = 0;  ///< node count that triggers the next LNS episode
@@ -169,28 +154,6 @@ struct BnbShared {
   }
 };
 
-/// Most fractional variable within the best (lowest) priority class that
-/// has any fractional member; -1 when integral.
-int pick_branch_var(const LpModel& base, const std::vector<int>& int_vars,
-                    double int_tol, const std::vector<double>& x) {
-  int best = -1;
-  int best_prio = std::numeric_limits<int>::max();
-  double best_frac_dist = 0.0;
-  for (int j : int_vars) {
-    const double v = x[static_cast<size_t>(j)];
-    const double frac = v - std::floor(v);
-    const double dist = std::min(frac, 1.0 - frac);
-    if (dist <= int_tol) continue;
-    const int prio = base.variable(j).branch_priority;
-    if (prio < best_prio || (prio == best_prio && dist > best_frac_dist)) {
-      best_prio = prio;
-      best_frac_dist = dist;
-      best = j;
-    }
-  }
-  return best;
-}
-
 void round_integers(const std::vector<int>& int_vars, std::vector<double>& x) {
   for (int j : int_vars) {
     x[static_cast<size_t>(j)] = std::round(x[static_cast<size_t>(j)]);
@@ -210,124 +173,6 @@ void install_incumbent(BnbShared& sh, double obj, const std::vector<double>& x,
   round_integers(sh.int_vars, sh.best_x);
   if (first) sh.search.first_incumbent_nodes = sh.nodes;
   if (heuristic) ++sh.search.heuristic_incumbents;
-}
-
-/// \brief Measured bound deltas of one strong-branching probe pair.
-struct ProbeOutcome {
-  double down = -1.0;  ///< child-bound delta; < 0 when the probe proved nothing
-  double up = -1.0;
-  LpWork work;         ///< LP work spent (caller folds into lp_work)
-};
-
-/// One strong-branching probe: the child LP bound delta after pushing
-/// `var` to one side, solved on a copy of the node model so the lane
-/// session's live result stays untouched. The copy + solve_lp(warm) pair
-/// makes a probe a pure function of (node model, basis), identical
-/// whether it runs inline or on a fanned-out pool lane.
-double probe_delta(const LpModel& node_model, const SimplexOptions& lp_opts,
-                   const Basis* warm, int var, bool up, double v,
-                   double parent_obj, LpWork& work) {
-  LpModel copy = node_model;
-  const auto& vb = node_model.variable(var);
-  if (up) {
-    copy.set_bounds(var, std::ceil(v), vb.upper);
-  } else {
-    copy.set_bounds(var, vb.lower, std::floor(v));
-  }
-  LpResult r = solve_lp(copy, lp_opts, warm);
-  if (r.status == LpStatus::InvalidBasis) r = solve_lp(copy, lp_opts);
-  work.add(r);
-  if (r.status == LpStatus::Optimal) {
-    return std::max(r.objective - parent_obj, 0.0);
-  }
-  if (r.status == LpStatus::Infeasible) {
-    // The whole child prunes — the strongest possible degradation. Feed a
-    // bounded-but-large estimate so the running mean stays finite.
-    return std::max(1.0, std::abs(parent_obj));
-  }
-  if (r.status == LpStatus::IterationLimit && r.used_dual_simplex) {
-    // Truncated dual simplex: the running objective is a monotone lower
-    // bound on the child LP, hence a valid under-estimate of the delta.
-    return std::max(r.objective - parent_obj, 0.0);
-  }
-  return -1.0;  // no usable information
-}
-
-/// Branch-variable selection dispatch. BranchRule::MostFractional keeps
-/// the historical pick_branch_var byte-for-byte (pinned trajectories);
-/// BranchRule::Pseudocost strong-branches unreliable candidates first —
-/// probe pairs fanned over idle pool lanes, observations applied in
-/// candidate order so the pseudocost state is independent of probe
-/// completion order — then maximizes the product score. Returns -1 when
-/// the point is integral; `probe_work` accumulates the probe LPs' work.
-int choose_branch(BnbShared& sh, const LpModel& node_model, const LpResult& lp,
-                  const SharedBasis& warm, LpWork& probe_work) {
-  const MilpOptions& opts = sh.opts;
-  if (opts.branching != BranchRule::Pseudocost) {
-    return pick_branch_var(*sh.base, sh.int_vars, opts.int_tol, lp.x);
-  }
-  const std::vector<BranchCandidate> cands =
-      fractional_candidates(*sh.base, sh.int_vars, opts.int_tol, lp.x);
-  if (cands.empty()) return -1;
-  if (cands.size() == 1) return cands[0].var;  // nothing to rank
-
-  // Reserve probe pairs for unreliable candidates under the global budget
-  // (both reservations and the counter live under pc_mu, so concurrent
-  // lanes can never oversubscribe max_strong_probes).
-  std::vector<std::size_t> to_probe;
-  {
-    std::lock_guard<std::mutex> lk(sh.pc_mu);
-    for (std::size_t i = 0; i < cands.size(); ++i) {
-      if (sh.pc.reliable(cands[i].var, opts.reliability)) continue;
-      if (sh.search.strong_probes + 2 > opts.max_strong_probes) break;
-      sh.search.strong_probes += 2;
-      to_probe.push_back(i);
-    }
-  }
-  if (!to_probe.empty()) {
-    SimplexOptions probe_lp = opts.lp;
-    probe_lp.allow_dual = true;
-    probe_lp.keep_factors = false;
-    probe_lp.max_iterations = opts.strong_probe_iterations;
-    std::vector<ProbeOutcome> out(to_probe.size());
-    const Basis* warm_ptr = warm != nullptr ? warm.get() : nullptr;
-    const auto probe_one = [&](std::size_t k) {
-      const BranchCandidate& c = cands[to_probe[k]];
-      ProbeOutcome& o = out[k];
-      o.down = probe_delta(node_model, probe_lp, warm_ptr, c.var,
-                           /*up=*/false, c.value, lp.objective, o.work);
-      o.up = probe_delta(node_model, probe_lp, warm_ptr, c.var,
-                         /*up=*/true, c.value, lp.objective, o.work);
-    };
-    exec::ThreadPool& pool =
-        opts.pool != nullptr ? *opts.pool : exec::ThreadPool::global();
-    // parallel_for is re-entrant (the calling lane drains its own chunk
-    // counter), so fanning out from inside a lane task cannot deadlock a
-    // saturated pool; with one lane it degenerates to the plain loop.
-    pool.parallel_for(0, to_probe.size(), probe_one);
-    std::lock_guard<std::mutex> lk(sh.pc_mu);
-    for (std::size_t k = 0; k < to_probe.size(); ++k) {
-      const BranchCandidate& c = cands[to_probe[k]];
-      if (out[k].down >= 0.0) sh.pc.observe_down(c.var, out[k].down, c.frac);
-      if (out[k].up >= 0.0) sh.pc.observe_up(c.var, out[k].up, 1.0 - c.frac);
-      probe_work += out[k].work;
-    }
-  }
-
-  std::vector<double> scores(cands.size());
-  std::lock_guard<std::mutex> lk(sh.pc_mu);
-  for (std::size_t i = 0; i < cands.size(); ++i) {
-    scores[i] = sh.pc.score(cands[i].var, cands[i].frac);
-  }
-  const int pick = select_by_score(cands, scores);
-  bool probed = false;
-  for (std::size_t k : to_probe) probed = probed || cands[k].var == pick;
-  if (!probed && sh.pc.reliable(pick, opts.reliability)) {
-    // The chosen variable was ranked purely from accumulated pseudocosts
-    // (already reliable, no probe this node): a pseudocost branching.
-    ++sh.search.pseudocost_branchings;
-  }
-  return pick;
 }
 
 /// \brief One separation attempt at an LP point (lazy-cut runs only).
@@ -529,24 +374,10 @@ bool evaluate_node(BnbShared& sh, Node& node,
     lp_ptr = &sess->solve();
   }
   SharedBasis child_basis = sess->basis();  // shared by both children
-  // Pseudocost observation from the real child evaluation: this node IS
-  // one side of its parent's branching, and its (pre-separation) LP bound
-  // delta is the ground truth the strong-branching probes only estimate.
-  if (opts.branching == BranchRule::Pseudocost && node.branch_var >= 0 &&
-      node.parent_bound > -kInf && lp_ptr->status == LpStatus::Optimal) {
-    const double delta = lp_ptr->objective - node.parent_bound;
-    std::lock_guard<std::mutex> lk(sh.pc_mu);
-    if (node.branch_up) {
-      sh.pc.observe_up(node.branch_var, delta, 1.0 - node.branch_frac);
-    } else {
-      sh.pc.observe_down(node.branch_var, delta, node.branch_frac);
-    }
-  }
-  LpWork extra_lp_work;  // probes and superseded separation re-solves
+  LpWork extra_lp_work;  // superseded separation re-solves
   int frac = -1;
   if (lp_ptr->status == LpStatus::Optimal) {
-    frac = choose_branch(sh, sess->model(), *lp_ptr, child_basis,
-                         extra_lp_work);
+    frac = pick_branch_var(base, sh.int_vars, opts.int_tol, lp_ptr->x);
   }
 
   // ---- Lazy separation. Cuts are appended *in-frame*: they steer
@@ -564,8 +395,7 @@ bool evaluate_node(BnbShared& sh, Node& node,
       frac = -1;
       if (lp_ptr->status == LpStatus::Optimal) {
         child_basis = sess->basis();
-        frac = choose_branch(sh, sess->model(), *lp_ptr, child_basis,
-                             extra_lp_work);
+        frac = pick_branch_var(base, sh.int_vars, opts.int_tol, lp_ptr->x);
       }
     };
     // Fractional root rounds (SCIP's benderslp idea): tighten the root
@@ -680,10 +510,6 @@ bool evaluate_node(BnbShared& sh, Node& node,
         down.depth = up.depth = node.depth + 1;
         down.warm = child_basis;
         up.warm = child_basis;
-        down.branch_var = up.branch_var = frac;
-        down.branch_up = false;
-        up.branch_up = true;
-        down.branch_frac = up.branch_frac = v - std::floor(v);
         if (v - std::floor(v) <= 0.5) {
           sh.push_open(std::move(up));
           sh.push_open(std::move(down));
@@ -807,9 +633,6 @@ class BranchAndBound {
     }
     sh->int_vars = int_vars_;
     sh->t0 = t0;
-    if (opts_.branching == BranchRule::Pseudocost) {
-      sh->pc.resize(static_cast<std::size_t>(base_.num_vars()));
-    }
     if (opts_.warm_start != nullptr && !opts_.warm_start->empty()) {
       sh->root_warm = std::make_shared<const Basis>(*opts_.warm_start);
     }

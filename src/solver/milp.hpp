@@ -13,10 +13,11 @@
 //    per-node model copy) — solve_lp is thread-compatible on distinct
 //    models (solver/simplex.hpp). Serial and parallel runs report the same
 //    objective and a valid (conservative) best_bound/gap;
-//  * branching variable chosen by (branch_priority, fractionality): the
-//    AC-RR master marks per-tenant acceptance indicators with priority 0 and
-//    raw path variables with priority 10, which realizes the "tenant
-//    acceptance dichotomy" branching described in DESIGN.md §4;
+//  * branching variable chosen by (branch_priority, fractionality) —
+//    pick_branch_var, solver/branching.hpp: the AC-RR master marks
+//    per-tenant acceptance indicators with priority 0 and raw path
+//    variables with priority 10, which realizes the "tenant acceptance
+//    dichotomy" branching described in DESIGN.md §4;
 //  * node and wall-clock limits make the solver an anytime algorithm —
 //    the incumbent plus `best_bound` give a certified optimality gap. The
 //    root dive heuristic honors the same limits and counts toward `nodes`.
@@ -26,7 +27,6 @@
 #include <functional>
 #include <vector>
 
-#include "solver/branching.hpp"
 #include "solver/lp_model.hpp"
 #include "solver/lp_session.hpp"
 #include "solver/search_stats.hpp"
@@ -125,25 +125,10 @@ struct MilpOptions {
   /// (fix the most fractional integer to its nearest value, re-solve,
   /// repeat). Greatly improves anytime behaviour on packing-style models.
   bool dive_heuristic = true;
-  // ---- Branching rule (solver/branching.hpp). The default keeps the
-  // historical most-fractional rule so existing trajectories (paper
-  // figures, pinned bench counters) are bit-identical.
-  BranchRule branching = BranchRule::MostFractional;
-  /// Reliability threshold for BranchRule::Pseudocost: a candidate whose
-  /// per-direction observation count is below this is strong-branched
-  /// (both child LPs probe-solved) before selection, seeding its
-  /// pseudocosts with measured degradations.
-  int reliability = 4;
-  /// Total strong-branching probe LP budget per solve (a probe pair per
-  /// candidate); 0 disables strong branching — unreliable candidates fall
-  /// back to the average-pseudocost estimate.
-  long max_strong_probes = 2000;
-  /// Per-probe LP pivot cap (SimplexOptions::max_iterations override);
-  /// a truncated probe still yields a valid degradation lower bound.
-  int strong_probe_iterations = 200;
-  // ---- Primal heuristics (solver/heuristics.hpp). Off by default for
-  // the same trajectory-pinning reason; svc/ re-solves and the heuristics
-  // bench cases turn them on.
+  // ---- Primal heuristics (solver/heuristics.hpp). Off by default so
+  // existing trajectories (paper figures, pinned bench counters) stay
+  // bit-identical; svc/ re-solves and the heuristics bench cases turn
+  // them on.
   /// RENS: after the root LP, fix near-integral integers, shrink the rest
   /// to their rounding box, and run a budgeted fix-and-dive sub-search;
   /// an accepted point seeds/improves the incumbent.

@@ -21,12 +21,11 @@ struct SearchStats {
   long cuts_evicted = 0;
   /// Separation callback invocations (integral + fractional rounds).
   long separation_rounds = 0;
-  // -- Branching observability (zero under BranchRule::MostFractional).
-  /// Branch decisions taken by the pseudocost score with the chosen
-  /// variable already reliable (no strong-branching probes needed).
+  // -- Former pseudocost-branching counters. The solver has one
+  // branching rule (most fractional, solver/branching.hpp), so both are
+  // always 0; they stay only because the perfbench reports read them, and
+  // go with the next change to the benchmark.
   long pseudocost_branchings = 0;
-  /// Strong-branching probe LPs solved to initialize unreliable
-  /// candidates; bounded by MilpOptions::max_strong_probes.
   long strong_probes = 0;
   // -- Primal-heuristic observability.
   /// Incumbents installed by a heuristic (root dive, RENS, LNS) rather

@@ -539,11 +539,9 @@ void Shard::benders_resolve() {
                           ? cfg_.resolve_time_limit_sec
                           : 1e9;
   bo.master.time_limit_sec = bo.time_limit_sec;
-  // Node-budgeted anytime solve: pseudocost branching spends the budget on
-  // learned-cost variables and RENS recovers an incumbent where the plain
-  // rounding dive dead-ends. Both stay replay-deterministic under the
-  // serial master above.
-  bo.master.branching = cfg_.resolve_branching;
+  // Node-budgeted anytime solve: RENS recovers an incumbent where the
+  // plain rounding dive dead-ends, and stays replay-deterministic under
+  // the serial master above.
   bo.master.rens_heuristic = cfg_.resolve_rens;
   const acrr::AdmissionResult res = acrr::solve_benders(inst, bo);
   stats_.merge(res);

@@ -37,7 +37,6 @@
 #include <vector>
 
 #include "acrr/instance.hpp"
-#include "solver/branching.hpp"
 #include "solver/lp_session.hpp"
 #include "solver/search_stats.hpp"
 #include "svc/arena.hpp"
@@ -67,12 +66,6 @@ struct ShardConfig {
   /// Optional wall-clock belt for the re-solve; 0 disables it (default —
   /// a time limit makes the decision log timing-dependent).
   double resolve_time_limit_sec = 0.0;
-  /// Branching rule for the re-solve's Benders master. Pseudocost (the
-  /// default) is node-budget-friendly: under resolve_max_nodes the tree
-  /// that learns branching costs proves tighter bounds. The decision log
-  /// stays replay-deterministic — the re-solve master runs threads=1 and
-  /// probe observations are applied in candidate order.
-  solver::BranchRule resolve_branching = solver::BranchRule::Pseudocost;
   /// Run the RENS fix-and-dive heuristic at the re-solve root (plus the
   /// plain rounding dive): lowers time-to-first-feasible, so a re-solve
   /// truncated by resolve_max_nodes still carries an incumbent.
@@ -120,8 +113,8 @@ struct Decision {
 
 /// Monotonic per-shard counters (gauges live on Shard accessors). The
 /// solver::SearchStats counters are merged over the epoch re-solves
-/// (branching/heuristic ones stay zero unless
-/// ShardConfig::resolve_branching/resolve_rens enable them).
+/// (the heuristic ones stay zero unless ShardConfig::resolve_rens enables
+/// RENS).
 struct ShardStats : solver::SearchStats {
   std::uint64_t arrivals = 0;
   std::uint64_t admitted = 0;

@@ -1,11 +1,11 @@
-// Branching-rule battery (ISSUE 10): pseudocost update correctness,
-// reliability-triggered strong branching, probe-budget accounting, and the
-// serial-vs-parallel determinism contract of the pseudocost rule.
+// Branching battery: the one most-fractional rule (pick_branch_var) —
+// priority classes, fractionality and deterministic tie-breaks — and the
+// serial-vs-parallel determinism contract of the tree it drives, with and
+// without the RENS/LNS heuristics.
 //
-// The Pseudocosts container and selection helpers are unit-tested directly
-// (they are unsynchronized value types); the solver-level tests drive
-// solve_milp on integer-coefficient knapsacks so objectives are exact and
-// the 1e-9 agreement assertions carry no LP-noise slack.
+// The solver-level tests drive solve_milp on integer-coefficient knapsacks
+// so objectives are exact and the 1e-9 agreement assertions carry no
+// LP-noise slack.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -17,135 +17,48 @@
 namespace ovnes::solver {
 namespace {
 
-// ------------------------------------------------------------- Pseudocosts
+// --------------------------------------------------------- pick_branch_var
 
-TEST(Pseudocosts, StoresMeanDegradationPerUnitFractionality) {
-  Pseudocosts pc(2);
-  // Fixing var 0 down over 0.3 units of fractionality cost 0.6 objective:
-  // 2.0 per unit. A second observation of 4.0 per unit averages to 3.0.
-  pc.observe_down(0, 0.6, 0.3);
-  EXPECT_DOUBLE_EQ(pc.down_cost(0), 2.0);
-  pc.observe_down(0, 2.0, 0.5);
-  EXPECT_DOUBLE_EQ(pc.down_cost(0), 3.0);
-  EXPECT_EQ(pc.down_count(0), 2);
-  EXPECT_EQ(pc.up_count(0), 0);
-
-  pc.observe_up(1, 1.5, 0.75);
-  EXPECT_DOUBLE_EQ(pc.up_cost(1), 2.0);
-  EXPECT_EQ(pc.observations(), 3);
-}
-
-TEST(Pseudocosts, NegativeDeltaClampsToZero) {
-  // A child bound can only tighten; a (numerically) negative delta is an
-  // observation of zero degradation, not negative cost.
-  Pseudocosts pc(1);
-  pc.observe_up(0, -5.0, 0.5);
-  EXPECT_DOUBLE_EQ(pc.up_cost(0), 0.0);
-  EXPECT_EQ(pc.up_count(0), 1);
-}
-
-TEST(Pseudocosts, NonPositiveFractionalityIsIgnored) {
-  Pseudocosts pc(1);
-  pc.observe_down(0, 1.0, 0.0);
-  pc.observe_up(0, 1.0, -0.25);
-  EXPECT_EQ(pc.down_count(0), 0);
-  EXPECT_EQ(pc.up_count(0), 0);
-  EXPECT_EQ(pc.observations(), 0);
-}
-
-TEST(Pseudocosts, FallbackChainPerVarThenGlobalThenUnit) {
-  Pseudocosts pc(3);
-  // Cold start: unit pseudocosts everywhere (score == fractionality).
-  EXPECT_DOUBLE_EQ(pc.down_cost(1), 1.0);
-  EXPECT_DOUBLE_EQ(pc.up_cost(1), 1.0);
-  // One down observation on var 0 seeds the *global* down average, which
-  // uninitialized vars inherit; the up direction stays at the unit prior.
-  pc.observe_down(0, 3.0, 1.0);
-  EXPECT_DOUBLE_EQ(pc.down_cost(0), 3.0);
-  EXPECT_DOUBLE_EQ(pc.down_cost(1), 3.0);
-  EXPECT_DOUBLE_EQ(pc.up_cost(1), 1.0);
-  // A per-variable observation overrides the global fallback.
-  pc.observe_down(1, 1.0, 1.0);
-  EXPECT_DOUBLE_EQ(pc.down_cost(1), 1.0);
-  EXPECT_DOUBLE_EQ(pc.down_cost(2), 2.0);  // global mean of {3, 1}
-}
-
-TEST(Pseudocosts, ReliableRequiresBothDirections) {
-  Pseudocosts pc(1);
-  EXPECT_TRUE(pc.reliable(0, 0));
-  EXPECT_FALSE(pc.reliable(0, 1));
-  pc.observe_down(0, 1.0, 0.5);
-  pc.observe_down(0, 1.0, 0.5);
-  EXPECT_FALSE(pc.reliable(0, 1));  // up direction still empty
-  pc.observe_up(0, 1.0, 0.5);
-  EXPECT_TRUE(pc.reliable(0, 1));
-  EXPECT_FALSE(pc.reliable(0, 2));  // up has one observation, not two
-}
-
-TEST(Pseudocosts, ProductScoreFormula) {
-  Pseudocosts pc(1);
-  pc.observe_down(0, 2.0, 1.0);  // psi- = 2
-  pc.observe_up(0, 4.0, 1.0);    // psi+ = 4
-  // score = max(2 * 0.25, eps) * max(4 * 0.75, eps) = 0.5 * 3.
-  EXPECT_NEAR(pc.score(0, 0.25), 1.5, 1e-12);
-}
-
-TEST(Pseudocosts, ScoreFloorKeepsOneSidedCandidatesOrdered) {
-  Pseudocosts pc(2);
-  pc.observe_down(0, 0.0, 0.5);
-  pc.observe_up(0, 5.0, 0.5);
-  pc.observe_down(1, 0.0, 0.5);
-  pc.observe_up(1, 2.0, 0.5);
-  // Both down-sides are zero; the eps floor keeps the pair ordered by
-  // their (strong) up-sides instead of collapsing both scores to 0.
-  EXPECT_GT(pc.score(0, 0.5), pc.score(1, 0.5));
-}
-
-// ----------------------------------------------- candidates and selection
-
-TEST(FractionalCandidates, FiltersToBestPriorityClassInVarOrder) {
+TEST(PickBranchVar, PicksFromBestPriorityClassInVarOrder) {
   LpModel m;
   m.add_binary("a", -1.0, /*branch_priority=*/10);
   m.add_binary("b", -1.0, /*branch_priority=*/0);
   m.add_binary("c", -1.0, /*branch_priority=*/0);
   m.add_binary("d", -1.0, /*branch_priority=*/10);
   const std::vector<int> ints = m.integer_vars();
-  // b is integral, so the priority-0 class still wins via c alone.
-  auto cands = fractional_candidates(m, ints, 1e-6, {0.5, 1.0, 0.25, 0.5});
-  ASSERT_EQ(cands.size(), 1u);
-  EXPECT_EQ(cands[0].var, 2);
-  EXPECT_DOUBLE_EQ(cands[0].frac, 0.25);
-  EXPECT_DOUBLE_EQ(cands[0].dist(), 0.25);
-  // Fully integral point: no candidates.
-  EXPECT_TRUE(fractional_candidates(m, ints, 1e-6, {0.0, 1.0, 1.0, 0.0}).empty());
-  // Priority-0 class fully integral: the priority-10 vars surface, in
-  // ascending variable order.
-  cands = fractional_candidates(m, ints, 1e-6, {0.5, 1.0, 0.0, 0.75});
-  ASSERT_EQ(cands.size(), 2u);
-  EXPECT_EQ(cands[0].var, 0);
-  EXPECT_EQ(cands[1].var, 3);
+  // b is integral, so the priority-0 class still wins via c alone — even
+  // though a and d are more fractional.
+  EXPECT_EQ(pick_branch_var(m, ints, 1e-6, {0.5, 1.0, 0.25, 0.5}), 2);
+  // Fully integral point: nothing to branch on.
+  EXPECT_EQ(pick_branch_var(m, ints, 1e-6, {0.0, 1.0, 1.0, 0.0}), -1);
+  // Priority-0 class fully integral: the priority-10 class surfaces and
+  // its most fractional member wins (a at 0.5 over d at 0.25).
+  EXPECT_EQ(pick_branch_var(m, ints, 1e-6, {0.5, 1.0, 0.0, 0.75}), 0);
+  EXPECT_EQ(pick_branch_var(m, ints, 1e-6, {0.9, 0.0, 1.0, 0.4}), 3);
+  // Within int_tol of an integer counts as integral.
+  EXPECT_EQ(pick_branch_var(m, ints, 1e-3, {1e-4, 1.0, 0.9999, 0.0}), -1);
 }
 
-TEST(SelectByScore, DeterministicTieBreaks) {
-  const std::vector<BranchCandidate> cands = {
-      {0, 0.3, 0.3}, {1, 0.5, 0.5}, {2, 0.5, 0.5}, {3, 0.7, 0.7}};
-  // Highest score wins outright.
-  EXPECT_EQ(select_by_score(cands, {1.0, 2.0, 1.5, 1.0}), 1);
-  // Score tie: larger fractional distance wins (var 1, dist 0.5 > 0.3).
-  EXPECT_EQ(select_by_score(cands, {2.0, 2.0, 1.0, 1.0}), 1);
-  // Score and distance tie: lower variable index wins (1 over 2).
-  EXPECT_EQ(select_by_score(cands, {0.0, 2.0, 2.0, 0.0}), 1);
-  // Distance tie-break also fires with var order reversed in the input.
-  const std::vector<BranchCandidate> rev = {{2, 0.5, 0.5}, {1, 0.5, 0.5}};
-  EXPECT_EQ(select_by_score(rev, {3.0, 3.0}), 1);
-  EXPECT_EQ(select_by_score({}, {}), -1);
+TEST(PickBranchVar, DeterministicTieBreaks) {
+  LpModel m;
+  for (int j = 0; j < 4; ++j) m.add_binary("x" + std::to_string(j), -1.0);
+  const std::vector<int> ints = m.integer_vars();
+  // Largest distance to the nearest integer wins outright.
+  EXPECT_EQ(pick_branch_var(m, ints, 1e-6, {0.3, 0.5, 0.45, 0.7}), 1);
+  // Distance ties go to the lower variable index (1 and 2 both at 0.5).
+  EXPECT_EQ(pick_branch_var(m, ints, 1e-6, {0.3, 0.5, 0.5, 0.7}), 1);
+  // Fractionality is symmetric: 0.25 and 0.75 tie; index 0 wins.
+  EXPECT_EQ(pick_branch_var(m, ints, 1e-6, {0.25, 0.0, 1.0, 0.75}), 0);
+  // The scan follows int_vars order, so reversing it moves the tie-break.
+  const std::vector<int> rev = {3, 2, 1, 0};
+  EXPECT_EQ(pick_branch_var(m, rev, 1e-6, {0.25, 0.0, 1.0, 0.75}), 3);
 }
 
 // ------------------------------------------------------ solver integration
 
 /// Integer-coefficient correlated knapsack: profits track weights, so LP
 /// relaxations are fractional and the tree actually branches. Integer data
-/// keeps optimal objectives exact across branching rules.
+/// keeps optimal objectives exact across search configurations.
 LpModel correlated_knapsack(RngStream& rng, int n, int rows) {
   LpModel m;
   std::vector<double> w(static_cast<std::size_t>(n));
@@ -171,86 +84,36 @@ LpModel correlated_knapsack(RngStream& rng, int n, int rows) {
   return m;
 }
 
-TEST(PseudocostBranching, UnreliableCandidatesAreStrongBranched) {
-  RngStream rng(41);
-  const LpModel m = correlated_knapsack(rng, 14, 3);
-  MilpOptions opts;
-  opts.branching = BranchRule::Pseudocost;
-  opts.reliability = 4;
-  opts.threads = 1;
-  const MilpResult res = solve_milp(m, opts);
-  ASSERT_EQ(res.status, MilpStatus::Optimal);
-  // Cold pseudocosts below the reliability threshold must trigger probe
-  // pairs; the counter moves in pairs by construction.
-  EXPECT_GE(res.strong_probes, 2);
-  EXPECT_EQ(res.strong_probes % 2, 0);
-}
-
-TEST(PseudocostBranching, ProbeBudgetNeverOversubscribed) {
-  RngStream rng(42);
-  const LpModel m = correlated_knapsack(rng, 14, 3);
-  MilpOptions opts;
-  opts.branching = BranchRule::Pseudocost;
-  opts.reliability = 100;  // nothing ever becomes reliable
-  opts.max_strong_probes = 6;
-  opts.threads = 1;
-  const MilpResult res = solve_milp(m, opts);
-  ASSERT_EQ(res.status, MilpStatus::Optimal);
-  EXPECT_GE(res.strong_probes, 2);
-  EXPECT_LE(res.strong_probes, 6);
-
-  // A zero budget disables strong branching entirely; selection falls back
-  // to the average-pseudocost estimate and the solve stays correct.
-  MilpOptions no_probe = opts;
-  no_probe.max_strong_probes = 0;
-  const MilpResult res0 = solve_milp(m, no_probe);
-  ASSERT_EQ(res0.status, MilpStatus::Optimal);
-  EXPECT_EQ(res0.strong_probes, 0);
-  EXPECT_NEAR(res0.objective, res.objective, 1e-9);
-}
-
-TEST(PseudocostBranching, ReliableSelectionsCountAsPseudocostBranchings) {
-  // reliability = 0 marks every candidate reliable up front: no probes may
-  // run, and every multi-candidate selection is a pure pseudocost branch.
-  long branchings = 0;
-  for (int seed = 0; seed < 6; ++seed) {
-    RngStream rng(static_cast<std::uint64_t>(seed) * 613 + 11);
-    const LpModel m = correlated_knapsack(rng, 16, 4);
-    MilpOptions opts;
-    opts.branching = BranchRule::Pseudocost;
-    opts.reliability = 0;
-    opts.threads = 1;
-    const MilpResult res = solve_milp(m, opts);
-    ASSERT_EQ(res.status, MilpStatus::Optimal);
-    EXPECT_EQ(res.strong_probes, 0);
-    branchings += res.pseudocost_branchings;
-  }
-  EXPECT_GE(branchings, 1);
-}
-
-TEST(MostFractionalBranching, ReportsNoBranchingCounters) {
+TEST(MostFractionalBranching, RetiredBranchingCountersStayZero) {
+  // SearchStats keeps pseudocost_branchings and strong_probes as fields
+  // for report compatibility; no configuration may move them.
   RngStream rng(43);
   const LpModel m = correlated_knapsack(rng, 14, 3);
-  MilpOptions opts;  // default rule
-  opts.threads = 1;
+  MilpOptions opts;
+  opts.rens_heuristic = true;
+  opts.lns_interval = 10;
+  opts.threads = 2;
   const MilpResult res = solve_milp(m, opts);
   ASSERT_EQ(res.status, MilpStatus::Optimal);
   EXPECT_EQ(res.strong_probes, 0);
   EXPECT_EQ(res.pseudocost_branchings, 0);
 }
 
-// Serial-vs-parallel determinism: the pseudocost rule's tie-breaking is
+// Serial-vs-parallel determinism: the rule's tie-breaking is
 // deterministic, so a 1-lane solve is a pure function of the instance and
 // a 4-lane solve must land on the same objective (gap_tol = 0 removes the
 // gap-width acceptance band that could otherwise admit distinct values).
-class PseudocostDeterminismTest : public ::testing::TestWithParam<int> {};
+// RENS at the root and LNS re-runs every 20 nodes ride along: the LNS
+// destroy sets are seeded by episode index, so they keep the contract.
+class HeuristicDeterminismTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(PseudocostDeterminismTest, SerialAndFourLaneObjectivesIdentical) {
+TEST_P(HeuristicDeterminismTest, SerialAndFourLaneObjectivesIdentical) {
   RngStream rng(static_cast<std::uint64_t>(GetParam()) * 7919 + 3);
   const LpModel m = correlated_knapsack(
       rng, 12 + static_cast<int>(rng.uniform_int(0, 6)), 3);
   MilpOptions serial;
-  serial.branching = BranchRule::Pseudocost;
+  serial.rens_heuristic = true;
+  serial.lns_interval = 20;
   serial.gap_tol = 0.0;
   serial.threads = 1;
   const MilpResult a = solve_milp(m, serial);
@@ -260,7 +123,17 @@ TEST_P(PseudocostDeterminismTest, SerialAndFourLaneObjectivesIdentical) {
   EXPECT_EQ(a.objective, a2.objective);
   EXPECT_EQ(a.x, a2.x);
   EXPECT_EQ(a.nodes, a2.nodes);
-  EXPECT_EQ(a.strong_probes, a2.strong_probes);
+  EXPECT_EQ(a.lp_iterations, a2.lp_iterations);
+  EXPECT_EQ(a.heuristic_incumbents, a2.heuristic_incumbents);
+  EXPECT_EQ(a.first_incumbent_nodes, a2.first_incumbent_nodes);
+
+  // The heuristics change the search, never the answer.
+  MilpOptions plain;
+  plain.gap_tol = 0.0;
+  plain.threads = 1;
+  const MilpResult ref = solve_milp(m, plain);
+  ASSERT_EQ(ref.status, MilpStatus::Optimal);
+  EXPECT_NEAR(a.objective, ref.objective, 1e-9);
 
   MilpOptions par = serial;
   par.threads = 4;
@@ -270,7 +143,7 @@ TEST_P(PseudocostDeterminismTest, SerialAndFourLaneObjectivesIdentical) {
   EXPECT_LE(b.best_bound, b.objective + 1e-9);
 }
 
-INSTANTIATE_TEST_SUITE_P(SeedBattery, PseudocostDeterminismTest,
+INSTANTIATE_TEST_SUITE_P(SeedBattery, HeuristicDeterminismTest,
                          ::testing::Range(0, 10));
 
 }  // namespace

@@ -259,7 +259,6 @@ TEST_P(HeuristicFeasibilityTest, IncumbentsNeverViolateTheOriginalModel) {
   const LpModel m = correlated_knapsack(
       rng, 16 + static_cast<int>(rng.uniform_int(0, 10)), 4);
   MilpOptions opts;
-  opts.branching = BranchRule::Pseudocost;
   opts.rens_heuristic = true;
   opts.lns_interval = 30;
   opts.threads = 2;

@@ -214,22 +214,21 @@ solver::LpModel random_milp(RngStream& rng) {
 
 class MilpBranchingPropertyTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(MilpBranchingPropertyTest, RulesAgreeAndBoundsSandwich) {
+TEST_P(MilpBranchingPropertyTest, HeuristicsAgreeAndBoundsSandwich) {
   using namespace ovnes::solver;
   RngStream rng = RngStream(0x6272616e63686573ULL)
                       .derive("milp_battery", static_cast<std::size_t>(GetParam()));
   const LpModel m = random_milp(rng);
 
-  MilpOptions mf;  // historical most-fractional rule
+  MilpOptions mf;  // most-fractional tree, root dive only
   mf.gap_tol = 0.0;
   mf.threads = 1;
   const MilpResult a = solve_milp(m, mf);
 
-  MilpOptions pc = mf;  // pseudocost + heuristics: different search, same answer
-  pc.branching = BranchRule::Pseudocost;
-  pc.rens_heuristic = true;
-  pc.lns_interval = 40;
-  const MilpResult b = solve_milp(m, pc);
+  MilpOptions heur = mf;  // + RENS/LNS: different search, same answer
+  heur.rens_heuristic = true;
+  heur.lns_interval = 40;
+  const MilpResult b = solve_milp(m, heur);
 
   ASSERT_EQ(a.status, MilpStatus::Optimal);
   ASSERT_EQ(b.status, MilpStatus::Optimal);
@@ -240,9 +239,10 @@ TEST_P(MilpBranchingPropertyTest, RulesAgreeAndBoundsSandwich) {
   EXPECT_NEAR(m.objective_value(b.x), b.objective, 1e-9);
   EXPECT_LE(m.max_violation(b.x), 1e-6);
 
-  // Node-limited anytime solves keep the bound sandwich under both rules:
-  // best_bound stays below any incumbent AND below the true optimum.
-  for (const MilpOptions* o : {&mf, &pc}) {
+  // Node-limited anytime solves keep the bound sandwich under both
+  // configurations: best_bound stays below any incumbent AND below the
+  // true optimum.
+  for (const MilpOptions* o : {&mf, &heur}) {
     MilpOptions limited = *o;
     limited.max_nodes = 8;
     const MilpResult r = solve_milp(m, limited);

@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "acrr/benders.hpp"
@@ -195,10 +196,60 @@ TEST_P(SingleTreeRandomTest, MatchesMultiTreeObjective) {
   EXPECT_NEAR(single.objective, multi.objective,
               1e-4 * (1.0 + std::abs(multi.objective)));
   EXPECT_GE(single.separation_rounds, 1);
+  // The reported objective is the admitted set's own Ψ, and no incumbent
+  // undercuts the certified bound.
+  EXPECT_NEAR(single.objective, acrr::evaluate_objective(inst, single),
+              1e-6 * (1.0 + std::abs(single.objective)));
+  EXPECT_GE(single.objective,
+            single.bound - st.epsilon * (1.0 + std::abs(single.objective)));
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomInstances, SingleTreeRandomTest,
                          ::testing::Range(0, 10));
+
+/// The 16-tenant draw of bench_regression's run_convergence, seeded by
+/// `draw` (perfbench's planning panel uses the same draws).
+std::vector<TenantModel> convergence_tenants(std::uint64_t draw) {
+  RngStream rng(draw);
+  std::vector<TenantModel> ts;
+  for (std::uint32_t i = 0; i < 16; ++i) {
+    const auto type = static_cast<SliceType>(rng.uniform_int(0, 2));
+    TenantModel tm = make_tenant(i, type, 0.0, 0.0);
+    tm.lambda_hat = rng.uniform(0.2, 0.6) * tm.request.tmpl.sla_rate;
+    tm.sigma_hat = rng.uniform(0.05, 0.3);
+    ts.push_back(std::move(tm));
+  }
+  return ts;
+}
+
+// Planning draws on which single-tree once recorded the Γ of a rounded
+// fractional root point as its incumbent: it claimed optimality with an
+// objective below its own bound, for an admitted set whose re-priced Ψ was
+// worse. The expected optima are solve_exact_milp's (multi-tree agrees).
+class SingleTreePlanningDrawTest
+    : public ::testing::TestWithParam<std::pair<std::uint64_t, double>> {};
+
+TEST_P(SingleTreePlanningDrawTest, MatchesExactOptimum) {
+  const auto [draw, exact] = GetParam();
+  const topo::Topology topo = topo::make_romanian({0.06, 17});
+  const topo::PathCatalog catalog(topo, 2);
+  const AcrrInstance inst(topo, catalog, convergence_tenants(draw));
+  BendersOptions st;
+  st.single_tree = true;
+  st.time_limit_sec = 60.0;
+  st.master.threads = 1;
+  const AdmissionResult res = acrr::solve_benders(inst, st);
+  EXPECT_NEAR(res.objective, exact, 1e-4);
+  EXPECT_NEAR(res.objective, acrr::evaluate_objective(inst, res),
+              1e-6 * (1.0 + std::abs(res.objective)));
+  EXPECT_GE(res.objective,
+            res.bound - st.epsilon * (1.0 + std::abs(res.objective)));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Draws, SingleTreePlanningDrawTest,
+    ::testing::Values(std::make_pair(std::uint64_t{3}, -31.3038),
+                      std::make_pair(std::uint64_t{6}, -31.9054)));
 
 TEST(SingleTree, ParallelLanesMatchSerialObjective) {
   RngStream rng(4242);
