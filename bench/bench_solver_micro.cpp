@@ -193,6 +193,9 @@ BENCHMARK(BM_CutResolveWarmLu)->Unit(benchmark::kMillisecond);
 //   * Primal  — warm solve_lp: artificial repair + short Phase 1 (the
 //               PR 2/3 path; equals BM_CutResolveWarmLu at m = 300);
 //   * Cold    — stateless re-solve from scratch.
+// DenseCut is the KeptLu loop with every cut covering all active x_j,
+// the AC-RR slave-cut shape: once such a cut is in the basis, dual pivot
+// rows touch most columns, which the ~24-coefficient cuts never show.
 // KeptLu must need fewer `refactorizations` than Dual (the two differ
 // only in keep_factors), Dual must beat Primal on `simplex_iters` and time
 // at m >= 200;
@@ -205,7 +208,8 @@ BENCHMARK(BM_CutResolveWarmLu)->Unit(benchmark::kMillisecond);
 // `refactorizations` counters follow the same scope (re-solves only).
 enum class CutResolveMode { KeptLu, Dual, Primal, Cold };
 
-void cut_resolve_mode_loop(benchmark::State& state, CutResolveMode mode) {
+void cut_resolve_mode_loop(benchmark::State& state, CutResolveMode mode,
+                           bool dense_cuts = false) {
   const int n = static_cast<int>(state.range(0));
   long iters = 0;
   long dual_resolves = 0;
@@ -222,9 +226,9 @@ void cut_resolve_mode_loop(benchmark::State& state, CutResolveMode mode) {
     iters = 0;
     dual_resolves = 0;
     const auto make_cut = [&](const std::vector<double>& x) {
-      // A Benders optimality cut touches one slave's tenant set, not the
-      // whole variable vector: sparse support sampled from the active
-      // allocation (positive x_j), ~24 coefficients.
+      // Support from the active allocation (positive x_j): ~24 sampled
+      // coefficients, a cut over one slave's tenant set, or with
+      // dense_cuts every active x_j.
       std::vector<int> pos;
       for (int j = 0; j < n; ++j) {
         if (x[static_cast<size_t>(j)] > 1e-9) pos.push_back(j);
@@ -237,7 +241,7 @@ void cut_resolve_mode_loop(benchmark::State& state, CutResolveMode mode) {
       std::vector<Coef> coefs;
       double lhs = 0.0;
       for (const int j : pos) {
-        if (!rng.flip(p)) continue;
+        if (!dense_cuts && !rng.flip(p)) continue;
         const double a = rng.uniform(0.1, 1.0);
         coefs.push_back({j, a});
         lhs += a * x[static_cast<size_t>(j)];
@@ -317,6 +321,12 @@ BENCHMARK(BM_CutResolveKeptLu)
     // primal/cold strategies would dominate total bench time without
     // saying anything new about the kernel.
     ->Arg(2000)->Arg(5000)->Unit(benchmark::kMillisecond);
+
+void BM_CutResolveDenseCut(benchmark::State& state) {
+  cut_resolve_mode_loop(state, CutResolveMode::KeptLu, /*dense_cuts=*/true);
+}
+BENCHMARK(BM_CutResolveDenseCut)
+    ->Arg(200)->Arg(300)->Unit(benchmark::kMillisecond);
 
 void BM_CutResolveDual(benchmark::State& state) {
   cut_resolve_mode_loop(state, CutResolveMode::Dual);

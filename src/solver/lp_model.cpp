@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <map>
 #include <stdexcept>
 
 namespace ovnes::solver {
@@ -32,17 +31,39 @@ int LpModel::add_binary(std::string name, double cost, int branch_priority) {
 
 int LpModel::add_row(std::string name, RowSense sense, double rhs,
                      std::vector<Coef> coefs) {
-  // Merge duplicates so callers can accumulate terms naively.
-  std::map<int, double> merged;
   for (const Coef& c : coefs) {
     if (c.var < 0 || c.var >= num_vars()) {
       throw std::out_of_range("LpModel: row '" + name +
                               "' references unknown variable");
     }
-    merged[c.var] += c.value;
   }
-  for (const auto& [var, value] : merged) {
-    if (value != 0.0) coefs_.push_back({var, value});
+  // Merge duplicates so callers can accumulate terms naively. The sort is
+  // stable, so each var's terms are summed in input order: the same
+  // rounding as accumulating them one by one.
+  const auto by_var = [](const Coef& a, const Coef& b) {
+    return a.var < b.var;
+  };
+  if (!std::is_sorted(coefs.begin(), coefs.end(), by_var)) {
+    if (coefs.size() > 32) {
+      std::stable_sort(coefs.begin(), coefs.end(), by_var);
+    } else {
+      for (size_t k = 1; k < coefs.size(); ++k) {
+        const Coef c = coefs[k];
+        size_t p = k;
+        for (; p > 0 && c.var < coefs[p - 1].var; --p) {
+          coefs[p] = coefs[p - 1];
+        }
+        coefs[p] = c;
+      }
+    }
+  }
+  for (size_t k = 0; k < coefs.size();) {
+    const int var = coefs[k].var;
+    double sum = coefs[k].value;
+    for (++k; k < coefs.size() && coefs[k].var == var; ++k) {
+      sum += coefs[k].value;
+    }
+    if (sum != 0.0) coefs_.push_back({var, sum});
   }
   row_ptr_.push_back(static_cast<int>(coefs_.size()));
   row_names_.push_back(std::move(name));

@@ -70,7 +70,8 @@ class LpModel {
   /// Add a binary variable with the given branching priority.
   int add_binary(std::string name, double cost, int branch_priority = 0);
 
-  /// Add a row; duplicate `var` entries in coefs are summed.
+  /// Add a row; duplicate `var` entries in coefs are summed in input
+  /// order and zero sums are dropped.
   int add_row(std::string name, RowSense sense, double rhs,
               std::vector<Coef> coefs);
 

@@ -775,7 +775,7 @@ class Simplex {
       // column. Slack alphas are ρ's own entries. Gather order
       // (ascending row) matches dot_column term-for-term, and the
       // candidate scan below runs in ascending column order (structural
-      // sorted, then slacks), so pivot choice — including Bland's
+      // ascending, then slacks), so pivot choice — including Bland's
       // smallest-index rule — is the one a per-column dot-product scan in
       // ascending index order would make.
       scan_.clear();
@@ -791,7 +791,21 @@ class Simplex {
           alpha_[static_cast<size_t>(c.var)] += ri * c.value;
         }
       }
-      std::sort(touched_.begin(), touched_.end());
+      // Put the touched columns in ascending order. A dense pivot row
+      // (a Benders cut in the basis touches most columns) is re-listed by
+      // one branch-free walk over the marks, O(n); a sparse one is
+      // sorted, O(k log k). Both give the same list.
+      if (touched_.size() * 16 > static_cast<size_t>(n_)) {
+        touched_.resize(static_cast<size_t>(n_));
+        size_t k = 0;
+        for (int j = 0; j < n_; ++j) {
+          touched_[k] = j;
+          k += static_cast<size_t>(amark_[static_cast<size_t>(j)]);
+        }
+        touched_.resize(k);
+      } else {
+        std::sort(touched_.begin(), touched_.end());
+      }
       const auto consider = [&](int j, double alpha) {
         if (status_[static_cast<size_t>(j)] == VarStatus::Basic) return;
         if (lower(j) == upper(j)) return;
@@ -931,12 +945,12 @@ class Simplex {
       if (iter % opts_.refresh_interval == 0) {
         // Same periodic drift control as the primal loop; also
         // re-certifies the incrementally maintained duals.
-        std::vector<double> saved = xb_;
         refresh_basics();
         double drift = 0.0;
         for (int i = 0; i < m_; ++i) {
-          drift = std::max(drift, std::abs(saved[static_cast<size_t>(i)] -
-                                           xb_[static_cast<size_t>(i)]));
+          drift = std::max(drift,
+                           std::abs(xb_prev_[static_cast<size_t>(i)] -
+                                    xb_[static_cast<size_t>(i)]));
         }
         if (drift > 1e-7 * (1.0 + bnorm_)) {
           if (!factorize_current_basis()) return DualOutcome::Abandoned;
@@ -970,8 +984,11 @@ class Simplex {
   }
 
   /// Recompute x_B = B^{-1}(b - N x_N) from scratch (drift control).
+  /// The previous x_B is left in xb_prev_ (the two buffers swap), so
+  /// drift control compares without copying.
   void refresh_basics() {
-    std::vector<double> rhs = b_;
+    std::vector<double>& rhs = xb_prev_;
+    rhs.assign(b_.begin(), b_.end());
     for (int j = 0; j < n_ + 2 * m_; ++j) {
       if (status_[static_cast<size_t>(j)] == VarStatus::Basic) continue;
       const double xv = nonbasic_value(j);
@@ -989,7 +1006,7 @@ class Simplex {
       }
     }
     kernel_.ftran(rhs);
-    xb_ = std::move(rhs);
+    xb_.swap(xb_prev_);
   }
 
   /// Core pricing/pivot loop with the current cost vector.
@@ -1125,12 +1142,12 @@ class Simplex {
         // with the incrementally updated values. Disagreement beyond
         // round-off means the factorization itself has drifted (long eta
         // chains accumulate error) — refactorize and recompute.
-        std::vector<double> saved = xb_;
         refresh_basics();
         double drift = 0.0;
         for (int i = 0; i < m_; ++i) {
-          drift = std::max(drift, std::abs(saved[static_cast<size_t>(i)] -
-                                           xb_[static_cast<size_t>(i)]));
+          drift = std::max(drift,
+                           std::abs(xb_prev_[static_cast<size_t>(i)] -
+                                    xb_[static_cast<size_t>(i)]));
         }
         if (drift > 1e-7 * (1.0 + bnorm_)) {
           if (!factorize_current_basis()) return LpStatus::IterationLimit;
@@ -1281,6 +1298,7 @@ class Simplex {
   std::vector<double> art_sign_;
   std::vector<int> basis_;
   std::vector<double> xb_;
+  std::vector<double> xb_prev_;  ///< refresh_basics scratch: previous x_B
   BasisLu kernel_{0};  ///< LU factors + product-form updates
   std::vector<double> y_, w_;
   std::vector<double> rho_;  ///< dual pivot row buffer (B^{-T} e_r)

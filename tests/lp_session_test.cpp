@@ -8,12 +8,17 @@
 //    incumbent basis handle exactly;
 //  * two sessions on distinct models are race-free (TSan job coverage);
 //  * a stale warm basis referencing rows beyond the model's current row
-//    count reports LpStatus::InvalidBasis instead of silently repairing.
+//    count reports LpStatus::InvalidBasis instead of silently repairing;
+//  * golden dual trajectories: Benders-shaped cut loops pin every
+//    re-solve's pivot count, path, objective bits and basis.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -461,6 +466,166 @@ TEST(LpSessionFrames, PopAfterFailedSolveRestoresFrameSnapshot) {
   const LpResult& again = sess.solve();
   ASSERT_EQ(again.status, LpStatus::Optimal);
   EXPECT_NEAR(again.objective, base_obj, 1e-9);
+}
+
+// ---------------------------------------------------------------------
+// Golden dual trajectories. Benders-shaped masters (8-column banded
+// capacity rows, bench_solver_micro's benders_master_lp shape) are
+// re-solved through LpSession after each of eight violated cuts of two
+// alternating shapes: dense cuts over every active x_j (the AC-RR slave
+// cut; their pivot rows touch most columns) and sparse cuts over at most
+// three. Every solve's pivot count, path, objective bits and basis
+// statuses are pinned. The dual ratio test breaks ties by the order it
+// meets its candidates (1e-12 ratio ties keep the first on equal |alpha|,
+// Bland's rule takes the smallest index), so listing a dense pivot row
+// out of ascending order moves pivots here: walking the marks in
+// descending order changes three of the four trajectories.
+
+struct TrajectoryStep {
+  int iterations = 0;
+  bool dual = false;
+  std::uint64_t objective_bits = 0;
+  std::uint64_t basis_hash = 0;  ///< FNV-1a over the basis statuses
+  bool operator==(const TrajectoryStep&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const TrajectoryStep& s) {
+  return os << "{" << s.iterations << ", " << (s.dual ? "true" : "false")
+            << std::hex << ", 0x" << s.objective_bits << "ull, 0x"
+            << s.basis_hash << "ull" << std::dec << "}";
+}
+
+// Integral costs, bounds and coefficients make exact ratio ties common.
+LpModel banded_master_lp(int m, std::uint64_t seed) {
+  RngStream rng(seed);
+  const auto draw = [&](int lo, int hi) {
+    return static_cast<double>(rng.uniform_int(lo, hi));
+  };
+  LpModel lp;
+  for (int j = 0; j < m; ++j) {
+    lp.add_variable("x" + std::to_string(j), 0.0, draw(1, 10), -draw(1, 4));
+  }
+  for (int i = 0; i < m; ++i) {
+    const auto anchor = static_cast<int>(rng.uniform_int(0, m - 1));
+    std::vector<Coef> coefs;
+    for (int t = 0; t < 8; ++t) {
+      coefs.push_back({(anchor + t) % m, draw(1, 3)});
+    }
+    lp.add_row("r" + std::to_string(i), RowSense::LessEq, draw(5, 50),
+               std::move(coefs));
+  }
+  return lp;
+}
+
+std::vector<TrajectoryStep> cut_trajectory(int m, std::uint64_t seed) {
+  LpSession sess(banded_master_lp(m, seed));
+  RngStream rng(seed + 1);
+  std::vector<TrajectoryStep> steps;
+  const auto record = [&](const LpResult& r) {
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const Basis::Status st : r.basis.status) {
+      h = (h ^ static_cast<std::uint64_t>(st)) * 0x100000001b3ull;
+    }
+    steps.push_back({r.iterations, r.used_dual_simplex,
+                     std::bit_cast<std::uint64_t>(r.objective), h});
+  };
+  const LpResult* r = &sess.solve();
+  record(*r);
+  for (int k = 0; k < 8 && r->status == LpStatus::Optimal; ++k) {
+    // Sparse cuts draw from the nonbasic x_j at a positive upper bound:
+    // the cut's slack then enters a basis whose other columns miss the
+    // cut row, so its first pivot row is the cut itself (<= 3 columns,
+    // under n/16 for both sizes) and takes the sort branch.
+    std::vector<int> active;
+    std::vector<int> at_upper;
+    for (int j = 0; j < m; ++j) {
+      if (r->x[static_cast<size_t>(j)] <= 1e-9) continue;
+      active.push_back(j);
+      if (r->basis.status[static_cast<size_t>(j)] == Basis::Status::AtUpper) {
+        at_upper.push_back(j);
+      }
+    }
+    if (active.empty()) break;
+    std::vector<Coef> coefs;
+    if (k % 2 == 0) {
+      for (const int j : active) {
+        coefs.push_back({j, static_cast<double>(rng.uniform_int(1, 2))});
+      }
+    } else {
+      const std::vector<int>& pool = at_upper.empty() ? active : at_upper;
+      for (int t = 0; t < 3; ++t) {
+        const auto pick = static_cast<size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(pool.size()) - 1));
+        coefs.push_back({pool[pick], 1.0});
+      }
+    }
+    double lhs = 0.0;
+    for (const Coef& c : coefs) {
+      lhs += c.value * r->x[static_cast<size_t>(c.var)];
+    }
+    sess.add_cut("cut" + std::to_string(k), RowSense::LessEq, 0.8 * lhs,
+                 std::move(coefs));
+    r = &sess.solve();
+    record(*r);
+  }
+  return steps;
+}
+
+struct TrajectoryCase {
+  int m;
+  std::uint64_t seed;
+  std::vector<TrajectoryStep> golden;
+};
+
+TEST(LpSessionGolden, DualTrajectoriesMatchRecordedPivots) {
+  // Recorded at the commit before the ordered mark scan replaced the
+  // per-pivot sort of the pivot row's columns.
+  const std::vector<TrajectoryCase> cases = {
+      {60, 601,
+       {{149, false, 0xc067e425ed097b42ull, 0x6d87cb98c860bc86ull},
+        {7, true, 0xc0677f459f049af4ull, 0x1a2c23b288927abull},
+        {2, true, 0xc0676dbb310865dbull, 0x953e6277c2213f04ull},
+        {7, true, 0xc0671382ca4ec70eull, 0x29c2e20f5afa461full},
+        {1, true, 0xc067111c63e860a8ull, 0x68fa72e6ec014108ull},
+        {5, true, 0xc066f905eae74b8cull, 0xaa5d135fdf241feaull},
+        {3, true, 0xc066bd8f6918da9aull, 0xf2741100370111f6ull},
+        {12, true, 0xc066a299584d1314ull, 0xc3325771dacf2896ull},
+        {1, true, 0xc066939a8f9c4920ull, 0x98d6652efefe9657ull}}},
+      {60, 602,
+       {{139, false, 0xc0624ea0ea0ea0eaull, 0xf9799d26ed86d09dull},
+        {7, true, 0xc061f1c2fd23d699ull, 0x222bcaf06d4ddf60ull},
+        {1, true, 0xc061cb5c96bd7033ull, 0xdf0fe7ad04a3c5f5ull},
+        {12, true, 0xc061988771f3ac1eull, 0x2dde5ec677eef471ull},
+        {3, true, 0xc0617d58a6732029ull, 0xfcc0df5a3c01084eull},
+        {10, true, 0xc0610a0daedb0c35ull, 0x3cd2dec19ab35ae0ull},
+        {1, true, 0xc06105719f63e4baull, 0xf8cbc27e4460bde1ull},
+        {11, true, 0xc060d08c2649cee0ull, 0x7fe83d6ce6578acdull},
+        {2, true, 0xc060c2cb80cac278ull, 0xd9f4ba5e6c90590eull}}},
+      {200, 2001,
+       {{432, false, 0xc085e14671e34d62ull, 0xf6bf62d1968e245cull},
+        {24, true, 0xc085b403e8e90e9dull, 0x834a61a9b951c6c8ull},
+        {2, true, 0xc085b058381986c2ull, 0xb41b2afa98c9c3dcull},
+        {39, true, 0xc08540e5ffed3829ull, 0xae26017b9daa7989ull},
+        {3, true, 0xc08539c482c6ca66ull, 0xd6f2578e30ab20baull},
+        {29, true, 0xc0850ed040ca3600ull, 0xde8ee9f13bdf691eull},
+        {5, true, 0xc0850bea057dda26ull, 0x8166f38871904b32ull},
+        {41, true, 0xc084d1c99ba50debull, 0x380b3f252b3efd7eull},
+        {5, true, 0xc084cd83a1bbbc62ull, 0x10f4b36a512170f2ull}}},
+      {200, 2002,
+       {{438, false, 0xc08460ac823f9b71ull, 0x67216565c2da245eull},
+        {23, true, 0xc0842f686484d7e4ull, 0x346cedeca7acec47ull},
+        {4, true, 0xc084246790cfd66eull, 0xa07d7ed649e338dfull},
+        {38, true, 0xc083e57faed14773ull, 0xc7174c94a9a67f4ull},
+        {7, true, 0xc083dcf5bad5cc8full, 0x4ab0fc0839ace503ull},
+        {33, true, 0xc083ac150b8354fcull, 0x8af5ab0fe179de41ull},
+        {3, true, 0xc083aa15fe1a73baull, 0x4d28e933b9413197ull},
+        {44, true, 0xc0838d1e37c426f2ull, 0x2c25e94adcc2e4bfull},
+        {9, true, 0xc08387f9cbc86671ull, 0xd0a147ca411543a4ull}}}
+  };
+  for (const TrajectoryCase& c : cases) {
+    EXPECT_EQ(cut_trajectory(c.m, c.seed), c.golden)
+        << "m=" << c.m << " seed=" << c.seed;
+  }
 }
 
 }  // namespace

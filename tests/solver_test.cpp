@@ -34,6 +34,53 @@ TEST(LpModel, MergesDuplicateCoefficients) {
   EXPECT_DOUBLE_EQ(m.row(0).coefs[0].value, 3.0);
 }
 
+TEST(LpModel, MergesDuplicatesInInputOrder) {
+  LpModel m;
+  const int x = m.add_variable("x", 0, 10, 1.0);
+  const int y = m.add_variable("y", 0, 10, 1.0);
+  // 1e16 + 1 rounds back to 1e16, so x's terms sum to 0.0 in input order
+  // (x is dropped) but to 1.0 in some other orders.
+  m.add_row("cancel", RowSense::LessEq, 5.0,
+            {{x, 1e16}, {y, 2.0}, {x, 1.0}, {x, -1e16}});
+  ASSERT_EQ(m.row(0).coefs.size(), 1u);
+  EXPECT_EQ(m.row(0).coefs[0].var, y);
+  EXPECT_EQ(m.row(0).coefs[0].value, 2.0);
+
+  // (1 + 2) + 3e16 rounds up to 3e16 + 4; every order that does not add
+  // 3e16 last gives 3e16. Checked below and past the insertion-sort
+  // cutoff (39 terms).
+  const double in_order = 1.0 + 2.0 + 3e16;
+  m.add_row("short", RowSense::LessEq, 5.0,
+            {{y, 0.5}, {x, 1.0}, {y, 0.25}, {x, 2.0}, {x, 3e16}});
+  std::vector<Coef> long_row = {{x, 1.0}};
+  for (int k = 0; k < 18; ++k) long_row.push_back({y, 0.5});
+  long_row.push_back({x, 2.0});
+  for (int k = 0; k < 18; ++k) long_row.push_back({y, 0.5});
+  long_row.push_back({x, 3e16});
+  m.add_row("long", RowSense::LessEq, 5.0, long_row);
+  for (const auto& [row, y_sum] : {std::pair{1, 0.75}, std::pair{2, 18.0}}) {
+    const RowView r = m.row(row);
+    ASSERT_EQ(r.coefs.size(), 2u) << r.name;
+    EXPECT_EQ(r.coefs[0].var, x);
+    EXPECT_EQ(r.coefs[0].value, in_order) << r.name;
+    EXPECT_EQ(r.coefs[1].var, y);
+    EXPECT_EQ(r.coefs[1].value, y_sum) << r.name;
+  }
+
+  // A row already sorted by var is stored unchanged.
+  const int z = m.add_variable("z", 0, 10, 1.0);
+  m.add_row("sorted", RowSense::LessEq, 5.0,
+            {{x, 1.5}, {y, -2.5}, {z, 0.1}});
+  const RowView r = m.row(3);
+  ASSERT_EQ(r.coefs.size(), 3u);
+  EXPECT_EQ(r.coefs[0].var, x);
+  EXPECT_EQ(r.coefs[0].value, 1.5);
+  EXPECT_EQ(r.coefs[1].var, y);
+  EXPECT_EQ(r.coefs[1].value, -2.5);
+  EXPECT_EQ(r.coefs[2].var, z);
+  EXPECT_EQ(r.coefs[2].value, 0.1);
+}
+
 TEST(LpModel, MaxViolation) {
   LpModel m;
   const int x = m.add_variable("x", 0, 10, 1.0);
